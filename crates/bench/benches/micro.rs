@@ -13,12 +13,42 @@
 //!
 //! Run with: `cargo bench -p bench --bench micro`
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use nosv::prelude::*;
 use nosv_shmem::{SegmentConfig, ShmSegment};
-use nosv_sync::{Acquired, DtLock, TicketLock};
+use nosv_sync::{Acquired, Backoff, DtLock, Padded};
+
+/// The DTLock rows' no-delegation comparator: a minimal FIFO ticket lock.
+/// Threads take a ticket and back off until `serving` reaches it; the two
+/// counters sit on separate cache lines, so taking a ticket does not
+/// invalidate the line the waiters spin on.
+#[derive(Default)]
+struct TicketLock {
+    next: Padded<AtomicU64>,
+    serving: Padded<AtomicU64>,
+}
+
+impl TicketLock {
+    /// Runs `f` holding the lock, in arrival order.
+    fn with(&self, f: impl FnOnce()) {
+        let ticket = self.next.fetch_add(1, Ordering::Relaxed);
+        let mut backoff = Backoff::new();
+        while self.serving.load(Ordering::Acquire) != ticket {
+            backoff.snooze();
+        }
+        f();
+        self.serving.store(ticket + 1, Ordering::Release);
+    }
+}
+
+/// The critical section the ticket rows time: a plain read-modify-write
+/// of the protected counter (the lock, not the cell, orders it).
+fn bump(count: &AtomicU64) {
+    count.store(count.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+}
 
 /// Times `op` over enough iterations for a stable per-op estimate and
 /// prints nanoseconds per operation.
@@ -59,10 +89,9 @@ fn bench_locks() {
         Acquired::Served(_) => unreachable!(),
     });
 
-    let ticket = TicketLock::new(0u64);
-    report("ticket_uncontended", || {
-        *ticket.lock() += 1;
-    });
+    let ticket = TicketLock::default();
+    let count = AtomicU64::new(0);
+    report("ticket_uncontended", || ticket.with(|| bump(&count)));
 
     let mutex = std::sync::Mutex::new(0u64);
     report("std_mutex_uncontended", || {
@@ -89,14 +118,13 @@ fn bench_locks() {
         start.elapsed()
     });
     report_threaded("ticket_contended_3t", 200_000, |iters| {
-        let lock = Arc::new(TicketLock::new(0u64));
+        let (lock, count) = (TicketLock::default(), AtomicU64::new(0));
         let start = Instant::now();
         std::thread::scope(|s| {
             for _ in 0..3 {
-                let lock = Arc::clone(&lock);
-                s.spawn(move || {
+                s.spawn(|| {
                     for _ in 0..iters {
-                        *lock.lock() += 1;
+                        lock.with(|| bump(&count));
                     }
                 });
             }

@@ -14,15 +14,17 @@
 //! The crate also provides the building blocks the rest of the workspace
 //! reuses:
 //!
-//! * [`TicketLock`] — a classic FIFO ticket spinlock (baseline for benches).
-//! * [`SpinLock`] — a test-and-test-and-set lock with exponential backoff.
 //! * [`RawSpinMutex`] — a plain-old-data spinlock suitable for placement
 //!   inside a shared-memory segment (no host pointers, fixed layout).
 //! * [`IdleGate`] — an event-counted gate for idle threads: wait-free
 //!   notification when nobody sleeps, and no lost wakeups without a
 //!   periodic-poll timeout (the runtime's submit→wake path).
+//! * [`CpuGates`] — one `IdleGate` per CPU plus a single elected standby
+//!   spinner, so a direct dispatch wakes exactly its target CPU.
 //! * [`Backoff`] — bounded exponential backoff helper.
-//! * [`Padded`] — cache-line padding wrapper to avoid false sharing.
+//! * [`Padded`] — cache-line padding wrapper to avoid false sharing (the
+//!   DTLock's wait slots, the per-CPU gates, the runtime's per-CPU
+//!   counter blocks).
 //! * [`Mutex`] / [`Condvar`] — an ergonomic facade over `std::sync` (guard
 //!   from `lock()` directly, `wait(&mut guard)`) used by the host-side
 //!   runtime code across the workspace.
@@ -43,9 +45,7 @@ mod idle_gate;
 mod mutex;
 mod padded;
 mod raw;
-mod spin;
 mod splitmix;
-mod ticket;
 
 pub use backoff::Backoff;
 pub use cpu_gates::CpuGates;
@@ -54,6 +54,4 @@ pub use idle_gate::IdleGate;
 pub use mutex::{Condvar, Mutex, MutexGuard};
 pub use padded::Padded;
 pub use raw::RawSpinMutex;
-pub use spin::{SpinLock, SpinLockGuard};
 pub use splitmix::SplitMix64;
-pub use ticket::{TicketLock, TicketLockGuard};

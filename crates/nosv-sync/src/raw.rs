@@ -5,7 +5,7 @@ use crate::Backoff;
 
 /// A spinlock whose entire state is a single `AtomicU32`.
 ///
-/// Unlike [`crate::SpinLock`], this type does not own the data it protects:
+/// Unlike a `std` mutex, this type does not own the data it protects:
 /// shared-memory data structures in `nosv-shmem` embed a `RawSpinMutex` next
 /// to the fields it guards, because the segment must contain only
 /// position-independent, fixed-layout state (no host pointers, no `std`

@@ -83,108 +83,97 @@ use crate::task::TaskId;
 /// a non-worker thread).
 pub const NO_CPU: u32 = u32::MAX;
 
-/// Which runtime counter a [`ObsKind::Counter`] delta belongs to.
-///
-/// The first block mirrors [`crate::RuntimeStats`]; the middle block is
-/// produced by the `simnode` discrete-event engine; the last block by the
-/// `nanos` data-flow runtime. One enum keeps every backend's counters in
-/// one stream without string keys on the hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[non_exhaustive]
-pub enum CounterKind {
-    /// Task bodies run to completion.
-    TasksExecuted,
-    /// `submit` calls (initial submissions and resubmissions).
-    TasksSubmitted,
-    /// Tasks served to waiting CPUs through DTLock delegation.
-    DelegationsServed,
-    /// Cores handed between processes (each costs a thread switch).
-    CrossProcessHandoffs,
-    /// Paused tasks resumed.
-    Resumes,
-    /// `pause` calls.
-    Pauses,
-    /// Process switches forced by quantum expiry.
-    QuantumSwitches,
-    /// Best-effort-affinity tasks executed away from their preference.
-    AffinitySteals,
-    /// Worker threads created.
-    WorkersSpawned,
-    /// Submissions through the lock-free per-process rings.
-    RingSubmits,
-    /// Submissions through the locked fallback path.
-    LockedSubmits,
-    /// Submissions handed straight to an idle CPU (direct dispatch).
-    DirectDispatches,
-    /// Tasks stolen across scheduler shards.
-    ShardSteals,
-    /// OS preemptions (simulator, oversubscribed baselines).
-    Preemptions,
-    /// Core-nanoseconds spent spinning on a held scheduler lock (simulator).
-    LockSpinNs,
-    /// Core-nanoseconds spent busy-idling (simulator).
-    IdleSpinNs,
-    /// Cross-application switches of a core (simulator nOS-V mode).
-    CrossAppSwitches,
-    /// DLB core lend events (simulator).
-    DlbLends,
-    /// DLB core reclaim events (simulator).
-    DlbReclaims,
-    /// Tasks spawned into a `nanos` data-flow graph.
-    TasksSpawned,
-    /// `nanos` tasks whose dependencies were satisfied at spawn.
-    ImmediatelyReady,
-    /// Dependency edges created by the `nanos` region tracker.
-    DepEdges,
-    /// `nanos` tasks completed.
-    TasksCompleted,
-    /// Queued tasks reclaimed from crashed guest processes.
-    CrashReclaims,
-    /// Standby-spinner role migrations between CPUs (sticky election;
-    /// should stay far below tasks executed on a steady stream).
-    StandbyElections,
-    /// Task bodies that panicked (each failed only its own task).
-    TaskPanics,
-    /// Stranded ring reservations force-retired by crash reclaim.
-    StrandedSlotRepairs,
-    /// Dead waiters evicted from shard delegation locks.
-    DeadWaiterEvictions,
+/// Declares [`CounterKind`] from one list of `Variant => "name"` rows, so
+/// the variants, their stable names and [`CounterKind::ALL`] cannot drift
+/// apart.
+macro_rules! counter_kinds {
+    ($($(#[doc = $doc:literal])* $kind:ident => $name:literal,)*) => {
+        /// Which runtime counter a [`ObsKind::Counter`] delta belongs to.
+        ///
+        /// Every backend's counters share this enum: the live runtime's
+        /// (the kinds [`crate::RuntimeStats`] has a field for), the
+        /// `simnode` discrete-event engine's and the `nanos` data-flow
+        /// runtime's. One enum keeps them in one stream without string
+        /// keys on the hot path, and the live runtime indexes its counter
+        /// table by it.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        #[non_exhaustive]
+        pub enum CounterKind {
+            $($(#[doc = $doc])* $kind,)*
+        }
+
+        impl CounterKind {
+            /// Every kind, in declaration order (`ALL[k as usize] == k`).
+            pub const ALL: &'static [CounterKind] = &[$(CounterKind::$kind,)*];
+
+            /// Stable display name (used by [`chrome_trace_json`] and friends).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(CounterKind::$kind => $name,)*
+                }
+            }
+        }
+    };
 }
 
-impl CounterKind {
-    /// Stable display name (used by [`chrome_trace_json`] and friends).
-    pub fn name(self) -> &'static str {
-        match self {
-            CounterKind::TasksExecuted => "tasks_executed",
-            CounterKind::TasksSubmitted => "tasks_submitted",
-            CounterKind::DelegationsServed => "delegations_served",
-            CounterKind::CrossProcessHandoffs => "cross_process_handoffs",
-            CounterKind::Resumes => "resumes",
-            CounterKind::Pauses => "pauses",
-            CounterKind::QuantumSwitches => "quantum_switches",
-            CounterKind::AffinitySteals => "affinity_steals",
-            CounterKind::WorkersSpawned => "workers_spawned",
-            CounterKind::RingSubmits => "ring_submits",
-            CounterKind::LockedSubmits => "locked_submits",
-            CounterKind::DirectDispatches => "direct_dispatches",
-            CounterKind::ShardSteals => "shard_steals",
-            CounterKind::Preemptions => "preemptions",
-            CounterKind::LockSpinNs => "lock_spin_ns",
-            CounterKind::IdleSpinNs => "idle_spin_ns",
-            CounterKind::CrossAppSwitches => "cross_app_switches",
-            CounterKind::DlbLends => "dlb_lends",
-            CounterKind::DlbReclaims => "dlb_reclaims",
-            CounterKind::TasksSpawned => "tasks_spawned",
-            CounterKind::ImmediatelyReady => "immediately_ready",
-            CounterKind::DepEdges => "dep_edges",
-            CounterKind::TasksCompleted => "tasks_completed",
-            CounterKind::CrashReclaims => "crash_reclaims",
-            CounterKind::StandbyElections => "standby_elections",
-            CounterKind::TaskPanics => "task_panics",
-            CounterKind::StrandedSlotRepairs => "stranded_slot_repairs",
-            CounterKind::DeadWaiterEvictions => "dead_waiter_evictions",
-        }
-    }
+counter_kinds! {
+    /// Task bodies run to completion.
+    TasksExecuted => "tasks_executed",
+    /// `submit` calls (initial submissions and resubmissions).
+    TasksSubmitted => "tasks_submitted",
+    /// Tasks served to waiting CPUs through DTLock delegation.
+    DelegationsServed => "delegations_served",
+    /// Cores handed between processes (each costs a thread switch).
+    CrossProcessHandoffs => "cross_process_handoffs",
+    /// Paused tasks resumed.
+    Resumes => "resumes",
+    /// `pause` calls.
+    Pauses => "pauses",
+    /// Process switches forced by quantum expiry.
+    QuantumSwitches => "quantum_switches",
+    /// Best-effort-affinity tasks executed away from their preference.
+    AffinitySteals => "affinity_steals",
+    /// Worker threads created.
+    WorkersSpawned => "workers_spawned",
+    /// Submissions through the lock-free per-process rings.
+    RingSubmits => "ring_submits",
+    /// Submissions through the locked fallback path.
+    LockedSubmits => "locked_submits",
+    /// Submissions handed straight to an idle CPU (direct dispatch).
+    DirectDispatches => "direct_dispatches",
+    /// Tasks stolen across scheduler shards.
+    ShardSteals => "shard_steals",
+    /// OS preemptions (simulator, oversubscribed baselines).
+    Preemptions => "preemptions",
+    /// Core-nanoseconds spent spinning on a held scheduler lock (simulator).
+    LockSpinNs => "lock_spin_ns",
+    /// Core-nanoseconds spent busy-idling (simulator).
+    IdleSpinNs => "idle_spin_ns",
+    /// Cross-application switches of a core (simulator nOS-V mode).
+    CrossAppSwitches => "cross_app_switches",
+    /// DLB core lend events (simulator).
+    DlbLends => "dlb_lends",
+    /// DLB core reclaim events (simulator).
+    DlbReclaims => "dlb_reclaims",
+    /// Tasks spawned into a `nanos` data-flow graph.
+    TasksSpawned => "tasks_spawned",
+    /// `nanos` tasks whose dependencies were satisfied at spawn.
+    ImmediatelyReady => "immediately_ready",
+    /// Dependency edges created by the `nanos` region tracker.
+    DepEdges => "dep_edges",
+    /// `nanos` tasks completed.
+    TasksCompleted => "tasks_completed",
+    /// Queued tasks reclaimed from crashed guest processes.
+    CrashReclaims => "crash_reclaims",
+    /// Standby-spinner role migrations between CPUs (sticky election;
+    /// should stay far below tasks executed on a steady stream).
+    StandbyElections => "standby_elections",
+    /// Task bodies that panicked (each failed only its own task).
+    TaskPanics => "task_panics",
+    /// Stranded ring reservations force-retired by crash reclaim.
+    StrandedSlotRepairs => "stranded_slot_repairs",
+    /// Dead waiters evicted from shard delegation locks.
+    DeadWaiterEvictions => "dead_waiter_evictions",
 }
 
 /// What happened. The scheduling-action kinds carry the task life cycle;

@@ -16,7 +16,7 @@ use crate::error::NosvError;
 use crate::obs::{CounterKind, ObsCollector, ObsEvent, ObsKind, TraceSink, NO_CPU};
 use crate::policy::SchedPolicy;
 use crate::scheduler::{producer_tag, GuestMeta, Scheduler, SchedulerSnapshot, SubmitPath};
-use crate::stats::{Counters, RuntimeStats};
+use crate::stats::{CounterTable, Counters, RuntimeStats};
 use crate::task::Affinity;
 use crate::task::{
     BatchHandle, BatchShared, TaskBatch, TaskBuilder, TaskCallbacks, TaskCtx, TaskDesc, TaskHandle,
@@ -111,6 +111,16 @@ impl RuntimeInner {
         }
     }
 
+    /// The summed counter table, plus the two counts kept outside it: the
+    /// election count in the gates (written only by the election CAS) and
+    /// the eviction count summed over the shard DTLocks.
+    pub(crate) fn counter_table(&self) -> CounterTable {
+        let mut table = self.counters.sum();
+        table[CounterKind::StandbyElections as usize] = self.gates.standby_elections();
+        table[CounterKind::DeadWaiterEvictions as usize] = self.sched.dtlock_evictions();
+        table
+    }
+
     pub(crate) fn worker_by_index(&self, index: usize) -> Arc<WorkerShared> {
         Arc::clone(&self.workers.lock()[index])
     }
@@ -141,9 +151,8 @@ impl RuntimeInner {
         let shared = WorkerShared::new(workers.len(), pid);
         workers.push(Arc::clone(&shared));
         drop(workers);
-        self.counters
-            .workers_spawned
-            .fetch_add(1, Ordering::Relaxed);
+        let cpu = worker::current_core().unwrap_or(Counters::EXTERNAL);
+        self.counters.add(cpu, CounterKind::WorkersSpawned, 1);
         let rt = Arc::clone(self);
         let me = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
@@ -263,38 +272,29 @@ impl RuntimeInner {
             return Err(NosvError::ShutdownInProgress);
         }
         d.submits.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .tasks_submitted
-            .fetch_add(1, Ordering::Relaxed);
-        let cpu = worker::current_core().map_or(NO_CPU, |c| c as u32);
+        let cpu = worker::current_core().unwrap_or(Counters::EXTERNAL);
+        self.counters.add(cpu, CounterKind::TasksSubmitted, 1);
         self.emit(
             ObsKind::Submit,
-            cpu,
+            u32::try_from(cpu).unwrap_or(NO_CPU),
             d.pid.load(Ordering::Relaxed),
             TaskId(d.id.load(Ordering::Relaxed)),
         );
-        match self.sched.submit_with(desc, affinity) {
+        let path = match self.sched.submit_with(desc, affinity) {
             // Handed straight to an idle CPU's claim slot: the scheduler
             // already woke exactly that CPU, and the task was never
             // queued.
-            SubmitPath::Direct => {
-                self.counters
-                    .direct_dispatches
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            // Queued: wake exactly the sleepers the task needs — the
-            // target core's gate for a placed task, one armed CPU for
-            // anything a steal can deliver (per-CPU gates make the wake
-            // targeted; the old single gate had to wake everyone for
-            // placed tasks).
-            SubmitPath::Ring => {
-                self.counters.ring_submits.fetch_add(1, Ordering::Relaxed);
-                self.sched.wake_for(affinity);
-            }
-            SubmitPath::Locked => {
-                self.counters.locked_submits.fetch_add(1, Ordering::Relaxed);
-                self.sched.wake_for(affinity);
-            }
+            SubmitPath::Direct => CounterKind::DirectDispatches,
+            SubmitPath::Ring => CounterKind::RingSubmits,
+            SubmitPath::Locked => CounterKind::LockedSubmits,
+        };
+        self.counters.add(cpu, path, 1);
+        // Queued: wake exactly the sleepers the task needs — the target
+        // core's gate for a placed task, one armed CPU for anything a
+        // steal can deliver (per-CPU gates make the wake targeted; the
+        // old single gate had to wake everyone for placed tasks).
+        if path != CounterKind::DirectDispatches {
+            self.sched.wake_for(affinity);
         }
         Ok(())
     }
@@ -449,14 +449,13 @@ impl RuntimeInner {
         for task in report.tasks {
             self.seg.free_t(task, 0);
         }
-        if n > 0 {
-            self.counters.crash_reclaims.fetch_add(n, Ordering::Relaxed);
-        }
-        if report.stranded > 0 {
-            self.counters
-                .stranded_slot_repairs
-                .fetch_add(report.stranded, Ordering::Relaxed);
-        }
+        self.counters
+            .add(Counters::EXTERNAL, CounterKind::CrashReclaims, n);
+        self.counters.add(
+            Counters::EXTERNAL,
+            CounterKind::StrandedSlotRepairs,
+            report.stranded,
+        );
         // `counter_leak` needs no counter of its own: the settle already
         // repaired `ready`, and the leaked bumps had no descriptor behind
         // them to free or report.
@@ -538,7 +537,7 @@ impl Runtime {
         let inner = Arc::new(RuntimeInner {
             seg,
             sched,
-            counters: Counters::default(),
+            counters: Counters::new(config.cpus),
             shutdown: AtomicBool::new(false),
             pending_tasks: AtomicU64::new(0),
             submit_inflight: AtomicU64::new(0),
@@ -645,9 +644,7 @@ impl Runtime {
 
     /// Snapshot of the runtime counters.
     pub fn stats(&self) -> RuntimeStats {
-        self.inner
-            .counters
-            .snapshot_with(&self.inner.gates, self.inner.sched.dtlock_evictions())
+        RuntimeStats::from_table(&self.inner.counter_table())
     }
 
     /// Snapshot of the shared scheduler's queues and per-core process
@@ -759,39 +756,8 @@ impl Runtime {
         // holds the complete action stream. Report the final counter deltas
         // through the same stream and let the sink materialize its output.
         if self.inner.obs.enabled() {
-            let stats = self
-                .inner
-                .counters
-                .snapshot_with(&self.inner.gates, self.inner.sched.dtlock_evictions());
-            for (counter, delta) in [
-                (CounterKind::TasksExecuted, stats.tasks_executed),
-                (CounterKind::TasksSubmitted, stats.tasks_submitted),
-                (CounterKind::DelegationsServed, stats.delegations_served),
-                (
-                    CounterKind::CrossProcessHandoffs,
-                    stats.cross_process_handoffs,
-                ),
-                (CounterKind::Resumes, stats.resumes),
-                (CounterKind::Pauses, stats.pauses),
-                (CounterKind::QuantumSwitches, stats.quantum_switches),
-                (CounterKind::AffinitySteals, stats.affinity_steals),
-                (CounterKind::WorkersSpawned, stats.workers_spawned),
-                (CounterKind::RingSubmits, stats.ring_submits),
-                (CounterKind::LockedSubmits, stats.locked_submits),
-                (CounterKind::DirectDispatches, stats.direct_dispatches),
-                (CounterKind::ShardSteals, stats.shard_steals),
-                (CounterKind::CrashReclaims, stats.crash_reclaims),
-                (CounterKind::StandbyElections, stats.standby_elections),
-                (CounterKind::TaskPanics, stats.task_panics),
-                (
-                    CounterKind::StrandedSlotRepairs,
-                    stats.stranded_slot_repairs,
-                ),
-                (
-                    CounterKind::DeadWaiterEvictions,
-                    stats.dead_waiter_evictions,
-                ),
-            ] {
+            let table = self.inner.counter_table();
+            for (&counter, &delta) in CounterKind::ALL.iter().zip(&table) {
                 if delta > 0 {
                     self.inner
                         .emit(ObsKind::Counter { counter, delta }, NO_CPU, 0, TaskId(0));
@@ -1024,12 +990,11 @@ impl ProcessContext {
             return Err(NosvError::ShutdownInProgress);
         }
         self.rt.live_descriptors.fetch_add(n, Ordering::AcqRel);
-        self.rt
-            .counters
-            .tasks_submitted
-            .fetch_add(n, Ordering::Relaxed);
+        let cpu = worker::current_core().unwrap_or(Counters::EXTERNAL);
+        let counters = &self.rt.counters;
+        counters.add(cpu, CounterKind::TasksSubmitted, n);
         if self.rt.obs.enabled() {
-            let obs_cpu = worker::current_core().map_or(crate::obs::NO_CPU, |c| c as u32);
+            let obs_cpu = u32::try_from(cpu).unwrap_or(crate::obs::NO_CPU);
             for &desc in &descs {
                 // SAFETY: ours until the scheduler insert below.
                 let d = unsafe { self.rt.seg.sref(desc) };
@@ -1047,18 +1012,9 @@ impl ProcessContext {
             self.proc.slot as usize,
             producer_tag(),
         );
-        self.rt
-            .counters
-            .direct_dispatches
-            .fetch_add(paths.direct, Ordering::Relaxed);
-        self.rt
-            .counters
-            .ring_submits
-            .fetch_add(paths.ring, Ordering::Relaxed);
-        self.rt
-            .counters
-            .locked_submits
-            .fetch_add(paths.locked, Ordering::Relaxed);
+        counters.add(cpu, CounterKind::DirectDispatches, paths.direct);
+        counters.add(cpu, CounterKind::RingSubmits, paths.ring);
+        counters.add(cpu, CounterKind::LockedSubmits, paths.locked);
         // Direct members woke their claimed CPUs inside submit_batch; the
         // queued remainder needs exactly one server wake.
         if paths.ring + paths.locked > 0 {

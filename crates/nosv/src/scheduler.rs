@@ -70,7 +70,7 @@ use nosv_sync::{Acquired, CpuGates, DtGuard, DtLock};
 
 use crate::config::NosvConfig;
 use crate::error::NosvError;
-use crate::obs::{ObsCollector, ObsEvent, ObsKind};
+use crate::obs::{CounterKind, ObsCollector, ObsEvent, ObsKind};
 use crate::queue::TaskQueue;
 use crate::stats::Counters;
 use crate::task::{Affinity, TaskDesc, TaskId};
@@ -1078,7 +1078,7 @@ impl Scheduler {
         let home = self.map.shard_of_cpu(cpu);
         let mine = match self.shards[home].acquire(cpu as u64) {
             Acquired::Served(task) => {
-                counters.delegations_served.fetch_add(1, Ordering::Relaxed);
+                counters.add(cpu, CounterKind::DelegationsServed, 1);
                 return Some(task);
             }
             Acquired::Holder(mut guard) => DEFERRED.with(|cell| {
@@ -1218,7 +1218,7 @@ impl Scheduler {
                 }
             };
             if let Some(task) = stolen {
-                counters.shard_steals.fetch_add(1, Ordering::Relaxed);
+                counters.add(cpu, CounterKind::ShardSteals, 1);
                 if obs.enabled() {
                     // SAFETY: a task handed out by the scheduler is alive.
                     let d = unsafe { self.seg.sref(task) };
@@ -1238,7 +1238,8 @@ impl Scheduler {
 
     /// The scheduling decision for one CPU — one call into the shared
     /// core, plus the live backend's bookkeeping (ready count, counters,
-    /// deferred observability). Caller holds `shard`'s lock.
+    /// deferred observability). Caller holds `shard`'s lock. The counters
+    /// go to `cpu`'s block even when a server picks for a waiter.
     #[allow(clippy::too_many_arguments)]
     fn pick_for_cpu(
         &self,
@@ -1259,10 +1260,10 @@ impl Scheduler {
             PickSource::Process {
                 quantum_expired: true,
             } => {
-                counters.quantum_switches.fetch_add(1, Ordering::Relaxed);
+                counters.add(cpu, CounterKind::QuantumSwitches, 1);
             }
             PickSource::Steal => {
-                counters.affinity_steals.fetch_add(1, Ordering::Relaxed);
+                counters.add(cpu, CounterKind::AffinitySteals, 1);
                 if obs.enabled() {
                     // SAFETY: a task handed out by the scheduler is alive.
                     let d = unsafe { self.seg.sref(task) };
@@ -1404,7 +1405,7 @@ mod tests {
     #[test]
     fn single_process_fifo() {
         let (seg, sched) = setup(2, 0, 1_000_000);
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         for id in 0..3 {
             sched.submit(mk_task(&seg, id, 0, 10, 0, Affinity::None));
@@ -1421,7 +1422,7 @@ mod tests {
     #[test]
     fn submission_goes_through_the_ring() {
         let (seg, sched) = setup(1, 0, 1_000_000);
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         assert_eq!(
             sched.submit(mk_task(&seg, 1, 0, 10, 0, Affinity::None)),
@@ -1440,7 +1441,7 @@ mod tests {
     #[test]
     fn ring_disabled_falls_back_to_locked_path() {
         let (seg, sched) = setup_ring(1, 0, 1_000_000, 0);
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         assert_eq!(
             sched.submit(mk_task(&seg, 1, 0, 10, 0, Affinity::None)),
@@ -1453,7 +1454,7 @@ mod tests {
     #[test]
     fn full_ring_overflows_to_locked_path_and_loses_nothing() {
         let (seg, sched) = setup_ring(1, 0, 1_000_000, 2);
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         let mut ring = 0;
         let mut locked = 0;
@@ -1479,7 +1480,7 @@ mod tests {
     #[test]
     fn process_preference_sticks_within_quantum() {
         let (seg, sched) = setup(1, 0, 1_000_000);
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         sched.register_proc(1, 20);
         // Interleave submissions from two processes.
@@ -1509,7 +1510,7 @@ mod tests {
     #[test]
     fn quantum_expiry_switches_processes() {
         let (seg, sched) = setup(1, 0, 100);
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         sched.register_proc(1, 20);
         for id in 0..4 {
@@ -1522,13 +1523,13 @@ mod tests {
         let t1 = sched.get_task(0, 500, &c, &obs()).unwrap();
         let pid1 = unsafe { seg.sref(t1) }.pid.load(Ordering::Relaxed);
         assert_ne!(pid0, pid1);
-        assert_eq!(c.quantum_switches.load(Ordering::Relaxed), 1);
+        assert_eq!(c.get(CounterKind::QuantumSwitches), 1);
     }
 
     #[test]
     fn strict_core_affinity_is_never_stolen() {
         let (seg, sched) = setup(4, 0, 1_000_000);
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         sched.submit(mk_task(
             &seg,
@@ -1555,7 +1556,7 @@ mod tests {
     #[test]
     fn best_effort_affinity_is_stolen_when_idle() {
         let (seg, sched) = setup(4, 0, 1_000_000);
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         sched.submit(mk_task(
             &seg,
@@ -1570,7 +1571,7 @@ mod tests {
         ));
         let t = sched.get_task(0, 0, &c, &obs()).unwrap();
         assert_eq!(id_of(&seg, t), 1);
-        assert_eq!(c.affinity_steals.load(Ordering::Relaxed), 1);
+        assert_eq!(c.get(CounterKind::AffinitySteals), 1);
     }
 
     #[test]
@@ -1578,7 +1579,7 @@ mod tests {
         // 4 CPUs, 2 per NUMA node (and so, by default, 2 shards).
         let (seg, sched) = setup(4, 2, 1_000_000);
         assert_eq!(sched.shard_count(), 2, "default: one shard per node");
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         sched.submit(mk_task(
             &seg,
@@ -1602,7 +1603,7 @@ mod tests {
     #[test]
     fn app_priority_beats_round_robin() {
         let (seg, sched) = setup(1, 0, 1_000_000);
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         sched.register_proc(1, 20);
         sched.set_app_priority(1, 5);
@@ -1615,7 +1616,7 @@ mod tests {
     #[test]
     fn task_priority_orders_within_process() {
         let (seg, sched) = setup(1, 0, 1_000_000);
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         sched.submit(mk_task(&seg, 1, 0, 10, 0, Affinity::None));
         sched.submit(mk_task(&seg, 2, 0, 10, 9, Affinity::None));
@@ -1640,7 +1641,7 @@ mod tests {
     #[test]
     fn unregister_with_queued_tasks_is_a_recoverable_error() {
         let (seg, sched) = setup(1, 0, 1_000_000);
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         sched.submit(mk_task(&seg, 1, 0, 10, 0, Affinity::None));
         // The queued task blocks the detach — recoverably, and the error
@@ -1659,7 +1660,7 @@ mod tests {
     #[test]
     fn unregister_counts_placed_tasks_in_other_queues() {
         let (seg, sched) = setup(4, 2, 1_000_000);
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         // Placed tasks route to a core queue and a NUMA queue, NOT the
         // process queue — they must still block the detach.
@@ -1726,7 +1727,7 @@ mod tests {
         assert_eq!(root.procs[0].contrib[0].load(Ordering::SeqCst), 0);
         sched.assert_masks_consistent();
         // The slot — wedged lane included — is fully reusable.
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 30);
         sched.submit(mk_task(&seg, 2, 0, 30, 0, Affinity::None));
         let t = sched.get_task(0, 0, &c, &obs()).unwrap();
@@ -1784,7 +1785,7 @@ mod tests {
         // process queues of both shards, a core queue and a NUMA queue —
         // plus one still sitting in a submission ring.
         let (seg, sched) = setup(4, 2, 1_000_000);
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         sched.register_proc(1, 20);
         sched.submit(mk_task(&seg, 1, 0, 10, 0, Affinity::None));
@@ -1833,7 +1834,7 @@ mod tests {
     #[test]
     fn direct_dispatch_claims_the_armed_target_cpu() {
         let (seg, sched) = setup(2, 0, 1_000_000);
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         // CPU 1 goes idle and arms its claim slot; a task placed on it
         // bypasses every queue and lands straight in the slot.
@@ -1867,7 +1868,7 @@ mod tests {
         // the ring. The standby fast path itself is exercised end-to-end
         // in tests/direct_dispatch.rs, where real workers hold the role.
         let (seg, sched) = setup(2, 0, 1_000_000);
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         sched.arm_idle(1);
         assert_eq!(
@@ -1952,7 +1953,7 @@ mod tests {
     #[test]
     fn disarmed_cpu_is_never_claimed() {
         let (seg, sched) = setup(2, 0, 1_000_000);
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         sched.arm_idle(0);
         assert!(sched.disarm_idle(0).is_none(), "nothing deposited yet");
@@ -1969,7 +1970,7 @@ mod tests {
         // 4 CPUs, 2 nodes, 2 shards: CPU 0 must be able to drain tasks
         // routed to both shards (its own by pick, the other's by steal).
         let (seg, sched) = setup(4, 2, 1_000_000);
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         // Distinct submitter tags land the unconstrained tasks in both
         // shards (sticky routing: one thread would stay in one shard).
@@ -1987,7 +1988,7 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
         assert!(
-            c.shard_steals.load(Ordering::Relaxed) > 0,
+            c.get(CounterKind::ShardSteals) > 0,
             "half the tasks live in the foreign shard"
         );
         assert!(!sched.has_ready());
@@ -1998,7 +1999,7 @@ mod tests {
     fn explicit_shard_count_overrides_the_numa_default() {
         let (seg, sched) = setup_full(4, 2, 1_000_000, 256, 1);
         assert_eq!(sched.shard_count(), 1);
-        let c = Counters::default();
+        let c = Counters::new(0);
         sched.register_proc(0, 10);
         for id in 0..4 {
             sched.submit(mk_task(&seg, id, 0, 10, 0, Affinity::None));
@@ -2007,7 +2008,7 @@ mod tests {
         for id in 0..4 {
             assert_eq!(id_of(&seg, sched.get_task(0, 0, &c, &obs()).unwrap()), id);
         }
-        assert_eq!(c.shard_steals.load(Ordering::Relaxed), 0);
+        assert_eq!(c.get(CounterKind::ShardSteals), 0);
     }
 
     /// Seeded property test: after every random submit / get_task step,
@@ -2025,7 +2026,7 @@ mod tests {
             let shards = 1 + (rng.next_u64() % 3) as usize; // 1..=3
             let shards = shards.min(cpus);
             let (seg, sched) = setup_full(cpus, per_numa, 1_000_000, 4, shards);
-            let c = Counters::default();
+            let c = Counters::new(0);
             let procs = 1 + (rng.next_u64() % 3) as u32;
             for slot in 0..procs {
                 sched.register_proc(slot, 10 + slot as u64);

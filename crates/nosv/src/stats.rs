@@ -2,66 +2,54 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Internal counter block (host-side; written by workers and the scheduler).
-#[derive(Default)]
+use nosv_sync::Padded;
+
+use crate::obs::CounterKind;
+
+/// One value per [`CounterKind`], indexed by `kind as usize`.
+pub(crate) type CounterTable = [u64; CounterKind::ALL.len()];
+
+/// The live runtime's counter table: one padded block of
+/// [`CounterKind`]-indexed cells per runtime CPU, plus one block for
+/// threads that are not workers. Writers add to their own CPU's block, so
+/// no two CPUs share a cache line; readers sum the blocks. The adds are
+/// `Relaxed` and synchronise nothing: a read is a statistic, not a fence.
 pub(crate) struct Counters {
-    pub tasks_executed: AtomicU64,
-    pub tasks_submitted: AtomicU64,
-    pub delegations_served: AtomicU64,
-    pub cross_process_handoffs: AtomicU64,
-    pub resumes: AtomicU64,
-    pub pauses: AtomicU64,
-    pub quantum_switches: AtomicU64,
-    pub affinity_steals: AtomicU64,
-    pub workers_spawned: AtomicU64,
-    pub ring_submits: AtomicU64,
-    pub locked_submits: AtomicU64,
-    pub direct_dispatches: AtomicU64,
-    pub shard_steals: AtomicU64,
-    pub crash_reclaims: AtomicU64,
-    pub task_panics: AtomicU64,
-    pub stranded_slot_repairs: AtomicU64,
+    blocks: Box<[Padded<[AtomicU64; CounterKind::ALL.len()]>]>,
 }
 
 impl Counters {
-    /// Snapshot of the counter block alone; [`Counters::snapshot_with`]
-    /// folds in the values that live outside it.
-    pub(crate) fn snapshot(&self) -> RuntimeStats {
-        RuntimeStats {
-            tasks_executed: self.tasks_executed.load(Ordering::Relaxed),
-            tasks_submitted: self.tasks_submitted.load(Ordering::Relaxed),
-            delegations_served: self.delegations_served.load(Ordering::Relaxed),
-            cross_process_handoffs: self.cross_process_handoffs.load(Ordering::Relaxed),
-            resumes: self.resumes.load(Ordering::Relaxed),
-            pauses: self.pauses.load(Ordering::Relaxed),
-            quantum_switches: self.quantum_switches.load(Ordering::Relaxed),
-            affinity_steals: self.affinity_steals.load(Ordering::Relaxed),
-            workers_spawned: self.workers_spawned.load(Ordering::Relaxed),
-            ring_submits: self.ring_submits.load(Ordering::Relaxed),
-            locked_submits: self.locked_submits.load(Ordering::Relaxed),
-            direct_dispatches: self.direct_dispatches.load(Ordering::Relaxed),
-            shard_steals: self.shard_steals.load(Ordering::Relaxed),
-            crash_reclaims: self.crash_reclaims.load(Ordering::Relaxed),
-            task_panics: self.task_panics.load(Ordering::Relaxed),
-            stranded_slot_repairs: self.stranded_slot_repairs.load(Ordering::Relaxed),
-            standby_elections: 0,
-            dead_waiter_evictions: 0,
+    /// The block of threads that are not workers: any index past the last
+    /// runtime CPU lands there.
+    pub(crate) const EXTERNAL: usize = usize::MAX;
+
+    /// A zeroed table for `cpus` runtime CPUs.
+    pub(crate) fn new(cpus: usize) -> Self {
+        Counters {
+            blocks: (0..=cpus)
+                .map(|_| Padded::new(std::array::from_fn(|_| AtomicU64::new(0))))
+                .collect(),
         }
     }
 
-    /// Full snapshot: the counter block plus the values that live outside
-    /// it — the election count in the gates (written only by the election
-    /// CAS) and the eviction count summed over the shard DTLocks.
-    pub(crate) fn snapshot_with(
-        &self,
-        gates: &nosv_sync::CpuGates,
-        dead_waiter_evictions: u64,
-    ) -> RuntimeStats {
-        RuntimeStats {
-            standby_elections: gates.standby_elections(),
-            dead_waiter_evictions,
-            ..self.snapshot()
-        }
+    /// Adds `n` to `kind` in `cpu`'s block (the caller's own core, or
+    /// [`Counters::EXTERNAL`]).
+    pub(crate) fn add(&self, cpu: usize, kind: CounterKind, n: u64) {
+        let block = &self.blocks[cpu.min(self.blocks.len() - 1)];
+        block[kind as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// `kind` summed over every block.
+    pub(crate) fn get(&self, kind: CounterKind) -> u64 {
+        self.blocks
+            .iter()
+            .map(|b| b[kind as usize].load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// The whole table, summed over every block.
+    pub(crate) fn sum(&self) -> CounterTable {
+        std::array::from_fn(|k| self.get(CounterKind::ALL[k]))
     }
 }
 
@@ -75,9 +63,16 @@ impl Counters {
 /// co-execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// Task bodies run to completion.
+    /// Task bodies run to completion, including guest tasks submitted
+    /// through [`crate::GuestProcess::submit`]. Those run on host workers
+    /// but were submitted in the guest, so once guests attach this exceeds
+    /// [`RuntimeStats::tasks_submitted`].
     pub tasks_executed: u64,
-    /// `submit` calls (initial submissions and resubmissions of paused tasks).
+    /// `submit` calls (initial submissions and resubmissions of paused
+    /// tasks) made through this runtime. Guest submissions
+    /// ([`crate::GuestProcess::submit`]) run in the guest process and
+    /// count neither here nor in [`RuntimeStats::ring_submits`], so
+    /// `tasks_executed == tasks_submitted` holds only without guests.
     pub tasks_submitted: u64,
     /// Tasks handed to waiting CPUs through DTLock delegation rather than a
     /// separate critical section.
@@ -129,4 +124,86 @@ pub struct RuntimeStats {
     /// a releaser or the abandoner itself reaped, keeping the serve order
     /// moving past the corpse.
     pub dead_waiter_evictions: u64,
+}
+
+impl RuntimeStats {
+    /// The stats of a summed counter table. Kinds without a field here
+    /// (the simulator's and `nanos`'s) are ignored.
+    pub(crate) fn from_table(table: &CounterTable) -> Self {
+        let mut stats = RuntimeStats::default();
+        for &kind in CounterKind::ALL {
+            if let Some(field) = stats.field_mut(kind) {
+                *field = table[kind as usize];
+            }
+        }
+        stats
+    }
+
+    /// The value of counter `kind`; 0 for a kind the live runtime does
+    /// not count (the simulator's and `nanos`'s).
+    pub fn get(&self, kind: CounterKind) -> u64 {
+        let mut stats = *self;
+        stats.field_mut(kind).map_or(0, |field| *field)
+    }
+
+    /// The field that holds `kind`, if the live runtime counts it.
+    fn field_mut(&mut self, kind: CounterKind) -> Option<&mut u64> {
+        Some(match kind {
+            CounterKind::TasksExecuted => &mut self.tasks_executed,
+            CounterKind::TasksSubmitted => &mut self.tasks_submitted,
+            CounterKind::DelegationsServed => &mut self.delegations_served,
+            CounterKind::CrossProcessHandoffs => &mut self.cross_process_handoffs,
+            CounterKind::Resumes => &mut self.resumes,
+            CounterKind::Pauses => &mut self.pauses,
+            CounterKind::QuantumSwitches => &mut self.quantum_switches,
+            CounterKind::AffinitySteals => &mut self.affinity_steals,
+            CounterKind::WorkersSpawned => &mut self.workers_spawned,
+            CounterKind::RingSubmits => &mut self.ring_submits,
+            CounterKind::LockedSubmits => &mut self.locked_submits,
+            CounterKind::DirectDispatches => &mut self.direct_dispatches,
+            CounterKind::ShardSteals => &mut self.shard_steals,
+            CounterKind::CrashReclaims => &mut self.crash_reclaims,
+            CounterKind::TaskPanics => &mut self.task_panics,
+            CounterKind::StrandedSlotRepairs => &mut self.stranded_slot_repairs,
+            CounterKind::StandbyElections => &mut self.standby_elections,
+            CounterKind::DeadWaiterEvictions => &mut self.dead_waiter_evictions,
+            _ => return None,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_field_is_filled_from_the_table() {
+        let table: CounterTable = std::array::from_fn(|k| k as u64 + 1);
+        let stats = RuntimeStats::from_table(&table);
+        // A field no kind maps to would stay 0 and print as `: 0`.
+        let debug = format!("{stats:?}");
+        assert!(
+            !debug.contains(": 0,") && !debug.contains(": 0 }"),
+            "{debug}"
+        );
+        for &kind in CounterKind::ALL {
+            let v = stats.get(kind);
+            assert!(v == 0 || v == kind as u64 + 1, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn blocks_sum_and_out_of_range_cpus_land_in_the_external_block() {
+        let c = Counters::new(2);
+        c.add(0, CounterKind::TasksExecuted, 1);
+        c.add(1, CounterKind::TasksExecuted, 2);
+        c.add(Counters::EXTERNAL, CounterKind::TasksExecuted, 4);
+        c.add(2, CounterKind::Pauses, 8);
+        assert_eq!(c.get(CounterKind::TasksExecuted), 7);
+        assert_eq!(c.sum()[CounterKind::Pauses as usize], 8);
+        assert_eq!(
+            c.blocks[2][CounterKind::TasksExecuted as usize].load(Ordering::Relaxed),
+            4
+        );
+    }
 }

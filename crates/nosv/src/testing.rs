@@ -14,7 +14,7 @@ use std::sync::Arc;
 use nosv_shmem::{SegmentConfig, ShmSegment, Shoff};
 
 use crate::config::NosvConfig;
-use crate::obs::ObsCollector;
+use crate::obs::{CounterKind, ObsCollector};
 use crate::policy::QuantumPolicy;
 use crate::scheduler::Scheduler;
 use crate::stats::Counters;
@@ -83,7 +83,7 @@ impl LiveDriver {
         LiveDriver {
             seg,
             sched,
-            counters: Counters::default(),
+            counters: Counters::new(cpus),
             obs: ObsCollector::disabled(),
         }
     }
@@ -175,21 +175,22 @@ impl LiveDriver {
     /// in-shard affinity steal and a cross-shard steal both report
     /// `stolen` (the sim driver reports both as `PickSource::Steal`).
     pub fn pop(&self, cpu: usize, now_ns: u64) -> Option<PopOutcome> {
-        let steals0 = self.counters.affinity_steals.load(Ordering::Relaxed)
-            + self.counters.shard_steals.load(Ordering::Relaxed);
-        let quanta0 = self.counters.quantum_switches.load(Ordering::Relaxed);
+        let steals = || {
+            self.counters.get(CounterKind::AffinitySteals)
+                + self.counters.get(CounterKind::ShardSteals)
+        };
+        let quanta = || self.counters.get(CounterKind::QuantumSwitches);
+        let (steals0, quanta0) = (steals(), quanta());
         let task = self
             .sched
             .get_task(cpu, now_ns, &self.counters, &self.obs)?;
         // SAFETY: a task handed out by the scheduler is alive.
         let d = unsafe { self.seg.sref(task) };
-        let steals1 = self.counters.affinity_steals.load(Ordering::Relaxed)
-            + self.counters.shard_steals.load(Ordering::Relaxed);
         Some(PopOutcome {
             id: d.id.load(Ordering::Relaxed),
             pid: d.pid.load(Ordering::Relaxed),
-            stolen: steals1 > steals0,
-            quantum_expired: self.counters.quantum_switches.load(Ordering::Relaxed) > quanta0,
+            stolen: steals() > steals0,
+            quantum_expired: quanta() > quanta0,
         })
     }
 

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use nosv_shmem::Shoff;
 use nosv_sync::{Condvar, Mutex};
 
-use crate::obs::{ObsEvent, ObsKind, OBS_BUF_CAP};
+use crate::obs::{CounterKind, ObsEvent, ObsKind, OBS_BUF_CAP};
 use crate::runtime::RuntimeInner;
 use crate::scheduler::ReadyTask;
 use crate::task::{Affinity, TaskCallbacks, TaskCtx, TaskDesc, TaskId, TaskSignal, TaskState};
@@ -380,7 +380,7 @@ fn resume_handoff(
     // SAFETY: task alive (scheduler contract).
     let d = unsafe { rt.seg.sref(task) };
     d.set_state(TaskState::Running);
-    rt.counters.resumes.fetch_add(1, Ordering::Relaxed);
+    rt.counters.add(core, CounterKind::Resumes, 1);
     rt.emit(
         ObsKind::Resume,
         core as u32,
@@ -404,9 +404,7 @@ fn cross_process_handoff(
 ) {
     // SAFETY: task alive.
     let d = unsafe { rt.seg.sref(task) };
-    rt.counters
-        .cross_process_handoffs
-        .fetch_add(1, Ordering::Relaxed);
+    rt.counters.add(core, CounterKind::CrossProcessHandoffs, 1);
     rt.emit(
         ObsKind::Handoff,
         core as u32,
@@ -441,22 +439,18 @@ fn execute_guest(rt: &Arc<RuntimeInner>, task: ReadyTask) {
     let kernel_sel = d.kernel.load(Ordering::Acquire);
     let core = with_tls(|w| w.core.get()).expect("worker TLS missing");
     rt.emit(ObsKind::Start { remote: false }, core as u32, pid, id);
-    if let Some(kernel) = rt.guest_kernel(kernel_sel - 1) {
+    let panicked = if let Some(kernel) = rt.guest_kernel(kernel_sel - 1) {
         // No TLS current_task on purpose: guest kernels must not pause
         // (their "process" has no worker threads to hand the core to).
-        if run_isolated(|| kernel(arg)) {
-            // A guest cannot observe the panic (its registry slot has no
-            // failure channel), but the task must still complete below —
-            // a skipped `completed` bump would wedge the guest's
-            // wait_idle — and the worker must survive a kernel a buggy
-            // guest picked.
-            rt.counters.task_panics.fetch_add(1, Ordering::Relaxed);
-            rt.emit(ObsKind::TaskFailed, core as u32, pid, id);
-        }
-    }
-    d.set_state(TaskState::Completed);
-    rt.emit(ObsKind::End, core as u32, pid, id);
-    rt.counters.tasks_executed.fetch_add(1, Ordering::Relaxed);
+        // A guest cannot observe a panic (its registry slot has no
+        // failure channel), but the task must still complete below — a
+        // skipped `completed` bump would wedge the guest's wait_idle — and
+        // the worker must survive a kernel a buggy guest picked.
+        run_isolated(|| kernel(arg))
+    } else {
+        false
+    };
+    finish(rt, d, core, pid, id, panicked);
     // Report completion through the guest's registry slot (Release there
     // pairs with the guest's Acquire poll, so the guest also observes the
     // kernel's side effects). A no-op if the slot was reclaimed — a guest
@@ -480,6 +474,55 @@ fn is_remote(rt: &RuntimeInner, d: &TaskDesc, core: usize) -> bool {
     }
 }
 
+/// The end every execution shares: marks the task completed, counts and
+/// reports a panic, then reports the end and counts the execution.
+/// Returns the core the task ended on — `core` unless the body paused
+/// and resumed elsewhere.
+fn finish(
+    rt: &RuntimeInner,
+    d: &TaskDesc,
+    core: usize,
+    pid: u64,
+    id: TaskId,
+    panicked: bool,
+) -> usize {
+    d.set_state(TaskState::Completed);
+    let end_core = with_tls(|w| w.core.get()).unwrap_or(core);
+    if panicked {
+        rt.counters.add(end_core, CounterKind::TaskPanics, 1);
+        rt.emit(ObsKind::TaskFailed, end_core as u32, pid, id);
+    }
+    rt.emit(ObsKind::End, end_core as u32, pid, id);
+    rt.counters.add(end_core, CounterKind::TasksExecuted, 1);
+    end_core
+}
+
+/// Runs a host task's `body` on the calling worker: marks the task
+/// running, reports its start, runs the body with the task's context and
+/// [`finish`]es it. Returns the core the task ended on and whether the
+/// body panicked.
+fn run_body(
+    rt: &RuntimeInner,
+    task: ReadyTask,
+    d: &TaskDesc,
+    body: impl FnOnce(&TaskCtx),
+) -> (usize, bool) {
+    d.set_state(TaskState::Running);
+    let ctx = TaskCtx {
+        task_id: TaskId(d.id.load(Ordering::Relaxed)),
+        pid: d.pid.load(Ordering::Relaxed),
+        metadata: d.metadata.load(Ordering::Relaxed),
+    };
+    let core = with_tls(|w| w.core.get()).expect("worker TLS missing");
+    let remote = is_remote(rt, d, core);
+    rt.emit(ObsKind::Start { remote }, core as u32, ctx.pid, ctx.task_id);
+    with_tls(|w| w.current_task.set(task.raw()));
+    let panicked = run_isolated(|| body(&ctx));
+    with_tls(|w| w.current_task.set(0));
+    let end_core = finish(rt, d, core, ctx.pid, ctx.task_id, panicked);
+    (end_core, panicked)
+}
+
 /// Executes a task body on the calling worker thread.
 fn execute(rt: &Arc<RuntimeInner>, task: ReadyTask) {
     // SAFETY: task alive until destroy, which the state machine forbids
@@ -492,50 +535,26 @@ fn execute(rt: &Arc<RuntimeInner>, task: ReadyTask) {
         execute_batch_member(rt, task, batch_raw);
         return;
     }
-    d.set_state(TaskState::Running);
-    let id = TaskId(d.id.load(Ordering::Relaxed));
-    let pid = d.pid.load(Ordering::Relaxed);
-    let metadata = d.metadata.load(Ordering::Relaxed);
-    let core = with_tls(|w| w.core.get()).expect("worker TLS missing");
-    let remote = is_remote(rt, d, core);
-    rt.emit(ObsKind::Start { remote }, core as u32, pid, id);
-
     let cbs_raw = d.callbacks.swap(0, Ordering::AcqRel);
+    let id = TaskId(d.id.load(Ordering::Relaxed));
     assert_ne!(cbs_raw, 0, "task {id:?} has no callbacks (executed twice?)");
     // SAFETY: the raw pointer was produced by Box::into_raw at creation and
     // uniquely taken here (the swap gives us sole ownership).
     let mut cbs = unsafe { Box::from_raw(cbs_raw as *mut TaskCallbacks) };
-
-    with_tls(|w| w.current_task.set(task.raw()));
-    let ctx = TaskCtx {
-        task_id: id,
-        pid,
-        metadata,
-    };
-    let panicked = run_isolated(|| {
-        if let Some(run) = cbs.run.take() {
-            run(&ctx);
+    let run = cbs.run.take();
+    // A panic failed only this task: it still completes (so the handle can
+    // be waited and destroyed), but waiters observe TaskPanicked through
+    // the signal's flag.
+    let (_, panicked) = run_body(rt, task, d, |ctx| {
+        if let Some(run) = run {
+            run(ctx);
         }
     });
-    with_tls(|w| w.current_task.set(0));
-
-    d.set_state(TaskState::Completed);
-    // The core may have changed if the body paused and resumed elsewhere.
-    let end_core = with_tls(|w| w.core.get()).unwrap_or(core);
-    if panicked {
-        // The panic failed only this task: it still completes (so the
-        // handle can be waited and destroyed), but waiters observe
-        // TaskPanicked through the signal's flag.
-        rt.counters.task_panics.fetch_add(1, Ordering::Relaxed);
-        rt.emit(ObsKind::TaskFailed, end_core as u32, pid, id);
-    }
-    rt.emit(ObsKind::End, end_core as u32, pid, id);
     // Order matters: the pending count must drop *before* any completion
     // notification fires — both the user's completion callback (through
     // which e.g. a taskwait may return) and the handle signal — so that
     // code observing "all my tasks finished" immediately sees a consistent
     // runtime (e.g. `shutdown()`'s no-pending check).
-    rt.counters.tasks_executed.fetch_add(1, Ordering::Relaxed);
     rt.pending_tasks.fetch_sub(1, Ordering::AcqRel);
     if let Some(completed) = cbs.completed.take() {
         completed();
@@ -560,36 +579,15 @@ fn execute_batch_member(rt: &Arc<RuntimeInner>, task: ReadyTask, shared_raw: u64
     // SAFETY: a task handed out by the scheduler is alive; batch member
     // descriptors stay alive until this function frees them.
     let d = unsafe { rt.seg.sref(task) };
-    d.set_state(TaskState::Running);
-    let id = TaskId(d.id.load(Ordering::Relaxed));
-    let pid = d.pid.load(Ordering::Relaxed);
-    let metadata = d.metadata.load(Ordering::Relaxed);
-    let core = with_tls(|w| w.core.get()).expect("worker TLS missing");
-    let remote = is_remote(rt, d, core);
-    rt.emit(ObsKind::Start { remote }, core as u32, pid, id);
     // SAFETY: produced by Arc::into_raw in submit_all; uniquely taken by
     // the caller's swap.
     let shared = unsafe { Arc::from_raw(shared_raw as *const crate::task::BatchShared) };
-    with_tls(|w| w.current_task.set(task.raw()));
-    let ctx = TaskCtx {
-        task_id: id,
-        pid,
-        metadata,
-    };
-    let panicked = run_isolated(|| (shared.body)(&ctx));
-    with_tls(|w| w.current_task.set(0));
-    d.set_state(TaskState::Completed);
-    // The core may have changed if the body paused and resumed elsewhere.
-    let end_core = with_tls(|w| w.core.get()).unwrap_or(core);
+    let (end_core, panicked) = run_body(rt, task, d, |ctx| (shared.body)(ctx));
     if panicked {
         // Only this member failed; the batch still completes, and its
         // waiters observe TaskPanicked through the shared latch's flag.
-        rt.counters.task_panics.fetch_add(1, Ordering::Relaxed);
-        rt.emit(ObsKind::TaskFailed, end_core as u32, pid, id);
         shared.signal.mark_panicked();
     }
-    rt.emit(ObsKind::End, end_core as u32, pid, id);
-    rt.counters.tasks_executed.fetch_add(1, Ordering::Relaxed);
     // Pending drops before the latch can fire (see `execute`); the
     // descriptor is freed before our countdown so that once the latch
     // fires, every member's memory is provably back in the slab.
@@ -652,7 +650,7 @@ fn pause_inner(yield_back: bool) {
     let task: Shoff<TaskDesc> = Shoff::from_raw(task_raw);
     // SAFETY: the task is running on this very thread.
     let d = unsafe { rt.seg.sref(task) };
-    rt.counters.pauses.fetch_add(1, Ordering::Relaxed);
+    rt.counters.add(core, CounterKind::Pauses, 1);
     let id = TaskId(d.id.load(Ordering::Relaxed));
     let pid = d.pid.load(Ordering::Relaxed);
     rt.emit(ObsKind::Pause, core as u32, pid, id);

@@ -99,7 +99,16 @@ fn guest_co_executes_over_named_segment() {
     assert!(status.success(), "guest process failed: {status}");
     // The guest wait_idle'd before exiting, so all 50 kernels have run.
     assert_eq!(hits.load(Ordering::Relaxed), 50);
-    assert!(rt.stats().tasks_executed >= 51);
+    // Guest submissions happen in the guest and never touch the host's
+    // counters: all 51 tasks count as executed, only the host's one as
+    // submitted (and only it took a host submission path).
+    let stats = rt.stats();
+    assert_eq!(stats.tasks_submitted, 1);
+    assert_eq!(stats.tasks_executed, stats.tasks_submitted + 50);
+    assert_eq!(
+        stats.ring_submits + stats.locked_submits + stats.direct_dispatches,
+        stats.tasks_submitted
+    );
     drop(app);
     rt.shutdown();
     // The guest's tenant lifetime is visible in the trace: an Attach and

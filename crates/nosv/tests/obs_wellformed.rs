@@ -196,21 +196,21 @@ fn check_accounting(events: &[ObsEvent], stats: &RuntimeStats, seed: u64) {
         count(|k| matches!(k, ObsKind::Submit)),
         stats.tasks_submitted
     );
-    // The shutdown counter report mirrors the same totals.
-    for (counter, expect) in [
-        (CounterKind::TasksExecuted, stats.tasks_executed),
-        (CounterKind::Pauses, stats.pauses),
-    ] {
-        if expect > 0 {
-            assert!(
-                events.iter().any(|e| e.kind
-                    == ObsKind::Counter {
-                        counter,
-                        delta: expect
-                    }),
-                "seed {seed:#x}: missing {counter:?} delta {expect}"
-            );
-        }
+    // The shutdown counter report mirrors every counter stats() shows,
+    // and reports nothing stats() does not.
+    for &counter in CounterKind::ALL {
+        let reported: u64 = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                ObsKind::Counter { counter: c, delta } if c == counter => Some(delta),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(
+            reported,
+            stats.get(counter),
+            "seed {seed:#x}: reported {counter:?} vs stats()"
+        );
     }
 }
 

@@ -6,8 +6,8 @@
 //! configuration must sustain at least **2x** the tasks/sec of the
 //! pre-ring baseline, in which every `submit` took the `DtLock` itself.
 //! The baseline is reproduced exactly by building the runtime with
-//! `.submit_ring(0)` (rings disabled → every submission takes the locked
-//! path).
+//! `.submit_ring(0)` (rings and idle-CPU direct dispatch disabled → every
+//! submission takes the locked path).
 //!
 //! Each configuration `cpus × procs × producers` runs the full lifecycle
 //! (`create` + `submit` + execute + `destroy`) from `producers` concurrent
@@ -47,15 +47,14 @@ struct Sample {
 }
 
 /// Tasks/sec of the full submit+dispatch lifecycle under `cfg`, with the
-/// given ring capacity (0 = the pre-ring locked baseline, which also
-/// disables idle-CPU direct dispatch so it keeps measuring the original
+/// given ring capacity (0 = the pre-ring locked baseline: rings off also
+/// turns idle-CPU direct dispatch off, so it keeps measuring the original
 /// every-submit-takes-the-DtLock path).
 fn throughput(cfg: &Config, ring_cap: usize, budget: Duration) -> f64 {
     let rt = Arc::new(
         Runtime::builder()
             .cpus(cfg.cpus)
             .submit_ring(ring_cap)
-            .direct_dispatch(ring_cap != 0)
             .build()
             .expect("valid config"),
     );

@@ -15,8 +15,9 @@ const MAGIC: u64 = 0x6e4f_5356_5348_4d31; // "nOSVSHM1"
 
 /// On-disk/in-memory format version stamped into the header at creation
 /// and checked on [`ShmSegment::attach_named`]: a process built against a
-/// different layout must not touch the segment.
-pub const SEGMENT_VERSION: u64 = 1;
+/// different layout must not touch the segment. Bump it whenever a
+/// segment-resident structure a guest reads changes shape.
+pub const SEGMENT_VERSION: u64 = 2;
 
 /// Capability bit: the owning runtime accepts foreign-process joins
 /// (handshake records in the registry, guest submission rings).
@@ -543,6 +544,24 @@ mod tests {
         drop(seg);
         // Owner gone: the name is unpublished.
         assert!(ShmSegment::attach_named(&name).is_err());
+    }
+
+    #[test]
+    fn attach_rejects_an_incompatible_version() {
+        if !crate::os_backing_available() {
+            eprintln!("skipping: no OS backing available");
+            return;
+        }
+        let name = format!("seg-version-{}", std::process::id());
+        let seg = ShmSegment::create_named(&name, small(), CAP_GUEST_JOIN).unwrap();
+        let hp = seg.inner.base.as_ptr() as *mut Header;
+        // SAFETY: no other handle maps the segment yet, so nothing reads
+        // the plain header word while it is rewritten.
+        unsafe { (*hp).version = SEGMENT_VERSION - 1 };
+        assert_eq!(
+            ShmSegment::attach_named(&name).unwrap_err(),
+            MapError::InvalidSegment("incompatible segment version")
+        );
     }
 
     #[test]

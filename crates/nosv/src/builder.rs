@@ -21,6 +21,20 @@ use crate::runtime::Runtime;
 /// the paper's 20 ms quantum, a 32 MiB segment, no trace sink, and the
 /// canonical [`QuantumPolicy`].
 ///
+/// Ten values are settable: the topology ([`cpus`](Self::cpus),
+/// [`numa`](Self::numa), [`sched_shards`](Self::sched_shards)), the
+/// quantum ([`quantum`](Self::quantum) or [`quantum_ns`](Self::quantum_ns)),
+/// the segment ([`segment_size`](Self::segment_size),
+/// [`segment_name`](Self::segment_name)), the submission rings
+/// ([`submit_ring`](Self::submit_ring)), the guest join timeout
+/// ([`join_timeout`](Self::join_timeout)), and the
+/// [`sink`](Self::sink) and [`policy`](Self::policy). Everything else is
+/// fixed: 4 submission lanes per process and shard, a 2 ms reactor tick,
+/// reclaim of a dead guest as soon as its pid probe fails, and idle-CPU
+/// direct dispatch whenever the rings are on. Guests resolve their submit
+/// and detach timeouts themselves (5 s, or the `NOSV_IPC_SUBMIT_TIMEOUT_MS`
+/// / `NOSV_IPC_DETACH_TIMEOUT_MS` override).
+///
 /// ```
 /// use std::sync::Arc;
 /// use nosv::prelude::*;
@@ -94,32 +108,27 @@ impl RuntimeBuilder {
     /// central scheduler through lock-free queues, drained in batches by
     /// the transient server).
     ///
+    /// Each (process × shard) ring is 4 *lanes* of this capacity: producer
+    /// threads hash onto lanes, so concurrent submitters from one process
+    /// rarely contend on one ring tail. Within a lane, submissions stay
+    /// FIFO; across lanes of one process no order is promised (concurrent
+    /// producers never had one).
+    ///
+    /// With rings on, a submission that finds a CPU idle and *armed* in
+    /// the claim table hands its task straight through that CPU's handoff
+    /// slot — one CAS plus one wake, bypassing rings, queues and locks.
+    /// Unconstrained and matching-affinity tasks qualify; everything else
+    /// takes the ring.
+    ///
     /// Must be zero or a power of two, at most 65536. The default is
-    /// [`crate::DEFAULT_SUBMIT_RING_CAP`]. `0` disables the rings: every
-    /// submission then takes the locked path, which is the pre-ring
-    /// behaviour the `sched_throughput` bench uses as its baseline. A full
-    /// ring is not an error — overflowing submissions fall back to the
-    /// locked path, which may reorder them relative to ring contents (the
-    /// priority order *within* each queue is unaffected).
+    /// [`crate::DEFAULT_SUBMIT_RING_CAP`]. `0` is the pre-ring baseline the
+    /// `sched_throughput` bench measures: no rings and no direct dispatch,
+    /// so every submission takes the shard lock. A full ring is not an
+    /// error — overflowing submissions fall back to the locked path, which
+    /// may reorder them relative to ring contents (the priority order
+    /// *within* each queue is unaffected).
     pub fn submit_ring(mut self, capacity: usize) -> Self {
         self.config.submit_ring_cap = capacity;
-        self
-    }
-
-    /// Number of submission *lanes* per (process × shard): each producer
-    /// thread hashes onto its own lane of the submission ring, so
-    /// concurrent submitters from one process stop contending on a single
-    /// ring tail. The ring capacity set by [`RuntimeBuilder::submit_ring`]
-    /// is per lane.
-    ///
-    /// Must be zero or a power of two, at most
-    /// [`nosv_shmem::MAX_SUBMIT_LANES`] (8). `0` (the default) resolves to
-    /// [`crate::DEFAULT_SUBMIT_LANES`] (4). `1` reproduces the original
-    /// single-ring layout. Within a lane, submissions stay FIFO; across
-    /// lanes of one process no order is promised (concurrent producers
-    /// never had one).
-    pub fn submit_lanes(mut self, lanes: usize) -> Self {
-        self.config.submit_lanes = lanes;
         self
     }
 
@@ -141,49 +150,19 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Enables or disables idle-CPU direct dispatch (default: enabled).
-    ///
-    /// When enabled, a submission that finds a CPU idle and *armed* in
-    /// the claim table hands its task straight through that CPU's handoff
-    /// slot — one CAS plus one wake, bypassing rings, queues and locks
-    /// entirely. Unconstrained and matching-affinity tasks qualify;
-    /// everything else (and every submission when no CPU is armed) takes
-    /// the ring path. Disabling forces all submissions through the
-    /// ring/locked paths (the benchmark baseline).
-    pub fn direct_dispatch(mut self, enabled: bool) -> Self {
-        self.config.direct_dispatch = enabled;
-        self
-    }
-
     /// Backs the segment with a *named* OS shared-memory object
     /// (`memfd_create`, falling back to `shm_open`) instead of the
     /// in-process heap, so foreign OS processes can co-execute by calling
     /// [`crate::Runtime::join`]`(name)` — the paper's actual deployment
     /// model (§3.1). The runtime also starts a reactor thread that
-    /// acknowledges join handshakes and reclaims tasks of crashed guests.
+    /// acknowledges join handshakes every 2 ms and reclaims the queued
+    /// tasks of a guest as soon as its OS pid is gone.
     ///
     /// Requires OS backing ([`nosv_shmem::os_backing_available`]) and
     /// enabled submission rings; [`RuntimeBuilder::build`] fails with
     /// [`NosvError::Segment`] / [`NosvError::InvalidConfig`] otherwise.
     pub fn segment_name(mut self, name: impl Into<String>) -> Self {
         self.config.segment_name = Some(name.into());
-        self
-    }
-
-    /// Period of the reactor's handshake/liveness sweep (default 2 ms).
-    /// Only meaningful together with [`RuntimeBuilder::segment_name`].
-    pub fn reclaim_tick(mut self, tick: Duration) -> Self {
-        self.config.reclaim_tick_ns = u64::try_from(tick.as_nanos()).unwrap_or(u64::MAX);
-        self
-    }
-
-    /// Extra grace period before a non-heartbeating guest is declared
-    /// dead and its queued tasks reclaimed. The default (zero) trusts the
-    /// OS pid probe alone: reclaim happens as soon as the guest's process
-    /// is gone. Only meaningful together with
-    /// [`RuntimeBuilder::segment_name`].
-    pub fn reclaim_grace(mut self, grace: Duration) -> Self {
-        self.config.reclaim_grace_ns = u64::try_from(grace.as_nanos()).unwrap_or(u64::MAX);
         self
     }
 
@@ -201,25 +180,6 @@ impl RuntimeBuilder {
     /// with [`RuntimeBuilder::segment_name`].
     pub fn join_timeout(mut self, timeout: Duration) -> Self {
         self.config.join_timeout_ns = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
-        self
-    }
-
-    /// How long a guest's [`crate::GuestProcess::submit`] retries full
-    /// rings before reporting [`NosvError::WaitTimeout`] (default 5 s).
-    /// Published to guests; overridable per guest via
-    /// `NOSV_IPC_SUBMIT_TIMEOUT_MS`. Must be positive and at most ten
-    /// minutes.
-    pub fn submit_timeout(mut self, timeout: Duration) -> Self {
-        self.config.submit_timeout_ns = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
-        self
-    }
-
-    /// How long a guest's clean [`crate::GuestProcess::detach`] waits for
-    /// this host to drain and release its slot (default 5 s). Published
-    /// to guests; overridable per guest via `NOSV_IPC_DETACH_TIMEOUT_MS`.
-    /// Must be positive and at most ten minutes.
-    pub fn detach_timeout(mut self, timeout: Duration) -> Self {
-        self.config.detach_timeout_ns = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
         self
     }
 
@@ -285,15 +245,9 @@ impl std::fmt::Debug for RuntimeBuilder {
             .field("quantum_ns", &self.config.quantum_ns)
             .field("segment_size", &self.config.segment_size)
             .field("submit_ring_cap", &self.config.submit_ring_cap)
-            .field("submit_lanes", &self.config.submit_lanes)
             .field("sched_shards", &self.config.sched_shards)
-            .field("direct_dispatch", &self.config.direct_dispatch)
             .field("segment_name", &self.config.segment_name)
-            .field("reclaim_tick_ns", &self.config.reclaim_tick_ns)
-            .field("reclaim_grace_ns", &self.config.reclaim_grace_ns)
             .field("join_timeout_ns", &self.config.join_timeout_ns)
-            .field("submit_timeout_ns", &self.config.submit_timeout_ns)
-            .field("detach_timeout_ns", &self.config.detach_timeout_ns)
             .field("sink", &self.sink.is_some())
             .field("custom_policy", &self.policy.is_some())
             .finish()

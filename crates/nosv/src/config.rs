@@ -5,6 +5,8 @@
 //! [`crate::RuntimeBuilder`], which validates and then carries one of
 //! these into [`crate::Runtime`].
 
+use std::time::Duration;
+
 use nosv_shmem::SegmentConfig;
 
 use crate::error::NosvError;
@@ -27,24 +29,24 @@ pub const DEFAULT_SUBMIT_RING_CAP: usize = 256;
 /// Largest accepted submission-ring capacity (entries per lane).
 pub(crate) const MAX_SUBMIT_RING_CAP: usize = 1 << 16;
 
-/// Default per-(process × shard) submission-lane count: enough that the
-/// common few-producer process never shares a lane, cheap enough that the
-/// idle lanes cost only their slot arrays.
-pub const DEFAULT_SUBMIT_LANES: usize = 4;
+/// Submission lanes per (process × shard): enough that the common
+/// few-producer process never shares a lane, cheap enough that the idle
+/// lanes cost only their slot arrays. Producers beyond this hash onto
+/// shared lanes.
+pub(crate) const SUBMIT_LANES: usize = 4;
 
-/// Default reactor sweep period: 2 ms keeps join handshakes snappy while
-/// costing one wakeup of a sleeping thread per period.
-pub(crate) const DEFAULT_RECLAIM_TICK_NS: u64 = 2_000_000;
+/// Reactor sweep period: 2 ms keeps join handshakes snappy while costing
+/// one wakeup of a sleeping thread per period.
+pub(crate) const RECLAIM_TICK: Duration = Duration::from_millis(2);
 
-/// Default guest IPC timeout (join handshake, full-ring submit retry,
-/// clean detach): 5 s — generous next to the ~2 ms reactor tick that
-/// normally resolves each wait, short enough that a wedged host turns
+/// Default join timeout: 5 s — generous next to the ~2 ms reactor tick
+/// that normally resolves a join, short enough that a wedged host turns
 /// into an error instead of a hang.
-pub(crate) const DEFAULT_IPC_TIMEOUT_NS: u64 = 5_000_000_000;
+pub(crate) const DEFAULT_JOIN_TIMEOUT_NS: u64 = 5_000_000_000;
 
-/// IPC timeouts beyond this (ten minutes) are rejected as unit mistakes,
+/// Join timeouts beyond this (ten minutes) are rejected as unit mistakes,
 /// same rationale as [`MAX_QUANTUM_NS`].
-pub(crate) const MAX_IPC_TIMEOUT_NS: u64 = 600_000_000_000;
+pub(crate) const MAX_JOIN_TIMEOUT_NS: u64 = 600_000_000_000;
 
 /// Configuration of a [`crate::Runtime`]. Built only by
 /// [`crate::RuntimeBuilder`].
@@ -63,32 +65,18 @@ pub(crate) struct NosvConfig {
     /// Size of the shared segment in bytes.
     pub segment_size: usize,
     /// Capacity (entries) of each process's lock-free submission ring;
-    /// `0` disables the rings and routes every submission through the
-    /// locked path (the pre-ring behaviour, kept for benchmarking).
+    /// `0` disables the rings *and* idle-CPU direct dispatch, routing
+    /// every submission through the locked path (the pre-ring behaviour,
+    /// kept for benchmarking).
     pub submit_ring_cap: usize,
-    /// Submission lanes per (process × shard): each producer thread hashes
-    /// to its own lane so concurrent submitters stop contending on one ring
-    /// tail. `0` (the default) resolves to [`DEFAULT_SUBMIT_LANES`].
-    pub submit_lanes: usize,
     /// Number of scheduler shards; `0` = one per NUMA node (the
     /// default), `1` = the original single-lock scheduler.
     pub sched_shards: usize,
-    /// Whether submissions may hand tasks straight to idle CPUs through
-    /// the claim table (`true` by default; `false` forces every
-    /// submission through the ring/locked paths, kept for benchmarking).
-    pub direct_dispatch: bool,
     /// When set, the segment is backed by a *named* OS shared-memory
     /// object ([`nosv_shmem::ShmSegment::create_named`]) so foreign OS
     /// processes can [`crate::Runtime::join`] it; `None` (the default)
     /// keeps the in-process heap backing.
     pub segment_name: Option<String>,
-    /// Period of the host reactor's liveness/handshake sweep in
-    /// nanoseconds (only meaningful with `segment_name`).
-    pub reclaim_tick_ns: u64,
-    /// Extra grace period before a non-responsive guest is declared dead.
-    /// `0` (the default) reclaims as soon as the guest's OS pid is gone —
-    /// the pid probe alone decides.
-    pub reclaim_grace_ns: u64,
     /// How long a guest's [`crate::Runtime::join`] waits for the host to
     /// publish its geometry and acknowledge the handshake. Published to
     /// guests through the geometry block; it also bounds how long the
@@ -96,12 +84,6 @@ pub(crate) struct NosvConfig {
     /// that died between claiming a slot and publishing its pid) before
     /// repairing it.
     pub join_timeout_ns: u64,
-    /// How long a guest's submit retries full rings before reporting
-    /// [`crate::NosvError::WaitTimeout`]. Published to guests.
-    pub submit_timeout_ns: u64,
-    /// How long a guest's clean detach waits for the host to drain and
-    /// release its slot. Published to guests.
-    pub detach_timeout_ns: u64,
 }
 
 impl Default for NosvConfig {
@@ -112,15 +94,9 @@ impl Default for NosvConfig {
             quantum_ns: DEFAULT_QUANTUM_NS,
             segment_size: 32 * 1024 * 1024,
             submit_ring_cap: DEFAULT_SUBMIT_RING_CAP,
-            submit_lanes: 0,
             sched_shards: 0,
-            direct_dispatch: true,
             segment_name: None,
-            reclaim_tick_ns: DEFAULT_RECLAIM_TICK_NS,
-            reclaim_grace_ns: 0,
-            join_timeout_ns: DEFAULT_IPC_TIMEOUT_NS,
-            submit_timeout_ns: DEFAULT_IPC_TIMEOUT_NS,
-            detach_timeout_ns: DEFAULT_IPC_TIMEOUT_NS,
+            join_timeout_ns: DEFAULT_JOIN_TIMEOUT_NS,
         }
     }
 }
@@ -139,17 +115,6 @@ impl NosvConfig {
     /// to the NUMA node count, clamped to the valid range).
     pub fn resolved_shards(&self) -> usize {
         nosv_core::resolve_shards(self.sched_shards, self.cpus, self.numa_nodes())
-    }
-
-    /// Effective submission-lane count per (process × shard): `0` resolves
-    /// to [`DEFAULT_SUBMIT_LANES`], everything else passes through
-    /// (`validate` has already checked it is a power of two within range).
-    pub fn resolved_lanes(&self) -> usize {
-        if self.submit_lanes == 0 {
-            DEFAULT_SUBMIT_LANES
-        } else {
-            self.submit_lanes
-        }
     }
 
     pub(crate) fn segment_config(&self) -> SegmentConfig {
@@ -185,28 +150,17 @@ impl NosvConfig {
         if self.submit_ring_cap > MAX_SUBMIT_RING_CAP {
             return fail("submission ring capacity above 65536 entries");
         }
-        if self.submit_lanes != 0 && !self.submit_lanes.is_power_of_two() {
-            return fail("submission lanes must be zero (auto) or a power of two");
-        }
-        if self.submit_lanes > nosv_shmem::MAX_SUBMIT_LANES {
-            return fail("more submission lanes than supported (8)");
-        }
         if self.sched_shards > nosv_core::MAX_SHARDS {
             return fail("more scheduler shards than supported (16)");
         }
         if self.sched_shards > self.cpus {
             return fail("more scheduler shards than CPUs");
         }
-        let ipc_timeouts = [
-            self.join_timeout_ns,
-            self.submit_timeout_ns,
-            self.detach_timeout_ns,
-        ];
-        if ipc_timeouts.contains(&0) {
-            return fail("IPC timeouts (join/submit/detach) must be positive");
+        if self.join_timeout_ns == 0 {
+            return fail("join timeout must be positive");
         }
-        if ipc_timeouts.iter().any(|&ns| ns > MAX_IPC_TIMEOUT_NS) {
-            return fail("IPC timeout above ten minutes; check the time unit");
+        if self.join_timeout_ns > MAX_JOIN_TIMEOUT_NS {
+            return fail("join timeout above ten minutes; check the time unit");
         }
         if let Some(name) = &self.segment_name {
             if name.is_empty() {
@@ -214,9 +168,6 @@ impl NosvConfig {
             }
             if self.submit_ring_cap == 0 {
                 return fail("named segments need submission rings (guests submit through them)");
-            }
-            if self.reclaim_tick_ns == 0 {
-                return fail("reclaim tick must be positive for named segments");
             }
         }
         Ok(())
@@ -266,18 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn lanes_resolve_to_default_when_auto() {
-        let auto = NosvConfig::default();
-        assert_eq!(auto.resolved_lanes(), DEFAULT_SUBMIT_LANES);
-        let explicit = NosvConfig {
-            submit_lanes: 8,
-            ..Default::default()
-        };
-        explicit.validate().expect("8 lanes is valid");
-        assert_eq!(explicit.resolved_lanes(), 8);
-    }
-
-    #[test]
     fn single_numa_when_unconfigured() {
         let c = NosvConfig {
             cpus: 16,
@@ -319,14 +258,6 @@ mod tests {
                 ..Default::default()
             },
             NosvConfig {
-                submit_lanes: 3, // not a power of two
-                ..Default::default()
-            },
-            NosvConfig {
-                submit_lanes: 16, // beyond MAX_SUBMIT_LANES
-                ..Default::default()
-            },
-            NosvConfig {
                 sched_shards: 64, // beyond MAX_SHARDS
                 ..Default::default()
             },
@@ -340,11 +271,7 @@ mod tests {
                 ..Default::default()
             },
             NosvConfig {
-                submit_timeout_ns: u64::MAX, // unit mistake
-                ..Default::default()
-            },
-            NosvConfig {
-                detach_timeout_ns: 0,
+                join_timeout_ns: u64::MAX, // unit mistake
                 ..Default::default()
             },
         ];

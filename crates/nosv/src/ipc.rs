@@ -37,18 +37,17 @@ use crate::runtime::Runtime;
 use crate::scheduler::{guest_submit, producer_tag, GuestMeta};
 use crate::task::{Affinity, TaskDesc, TaskState};
 
-/// Guest-side fallback for every IPC timeout, used when neither the
-/// host's published value ([`GuestMeta`], set through
-/// [`crate::RuntimeBuilder::join_timeout`] and friends) nor an
-/// environment override is available — a host predating the published
-/// fields, or a wait that happens before the geometry block is mapped.
+/// Guest-side IPC timeout when no environment override is set. The
+/// submit-retry and detach waits always fall back to it; the join wait
+/// does before the geometry block is mapped (after that, the host's
+/// published [`crate::RuntimeBuilder::join_timeout`] replaces it).
 const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Reads a guest-side `NOSV_IPC_*_TIMEOUT_MS` override (milliseconds).
 /// Unset, empty, unparsable or zero values are ignored. Overrides beat
-/// the host-published timeout: the guest knows its own latency budget
-/// better than the host does, and the chaos harness shrinks them to keep
-/// kill-matrix wall-clock bounded.
+/// the host-published join timeout: the guest knows its own latency
+/// budget better than the host does, and the chaos harness shrinks them
+/// to keep kill-matrix wall-clock bounded.
 fn env_timeout_ms(var: &str) -> Option<Duration> {
     let raw = std::env::var(var).ok()?;
     let ms: u64 = raw.trim().parse().ok()?;
@@ -56,7 +55,7 @@ fn env_timeout_ms(var: &str) -> Option<Duration> {
 }
 
 /// Resolves one IPC timeout: environment override, then the
-/// host-published value (`0` = host never set it), then the default.
+/// host-published value (`0` = none published), then the default.
 fn resolve_timeout(var: &str, published_ns: u64) -> Duration {
     env_timeout_ms(var).unwrap_or(if published_ns > 0 {
         Duration::from_nanos(published_ns)
@@ -117,12 +116,13 @@ impl Runtime {
     /// * [`NosvError::WaitTimeout`] — the host did not acknowledge in
     ///   time (the join request is withdrawn).
     ///
-    /// The handshake, submit-retry and detach timeouts default to the
-    /// values the host configured ([`crate::RuntimeBuilder::join_timeout`]
-    /// and friends, published through the segment's geometry block); the
-    /// environment variables `NOSV_IPC_JOIN_TIMEOUT_MS`,
-    /// `NOSV_IPC_SUBMIT_TIMEOUT_MS` and `NOSV_IPC_DETACH_TIMEOUT_MS`
-    /// override them on the guest side (milliseconds, zero ignored).
+    /// The handshake timeout defaults to the value the host configured
+    /// ([`crate::RuntimeBuilder::join_timeout`], published through the
+    /// segment's geometry block); the submit-retry and detach timeouts
+    /// default to 5 s. The environment variables
+    /// `NOSV_IPC_JOIN_TIMEOUT_MS`, `NOSV_IPC_SUBMIT_TIMEOUT_MS` and
+    /// `NOSV_IPC_DETACH_TIMEOUT_MS` override them on the guest side
+    /// (milliseconds, zero ignored).
     pub fn join(name: &str) -> Result<GuestProcess, NosvError> {
         GuestProcess::join(name)
     }
@@ -151,8 +151,8 @@ pub struct GuestProcess {
     /// probes it so a dead host turns into [`NosvError::HostDead`]
     /// instead of a full timeout wait.
     host_os_pid: u64,
-    /// Resolved IPC timeouts (environment override, else host-published,
-    /// else default) — see [`resolve_timeout`].
+    /// Resolved IPC timeouts (environment override, else default) — see
+    /// [`resolve_timeout`].
     submit_timeout: Duration,
     detach_timeout: Duration,
     next_seq: AtomicU64,
@@ -198,7 +198,7 @@ impl GuestProcess {
             backoff.wait();
         }
         // The whole geometry block is visible now: adopt the host's
-        // configured timeouts (the join deadline still counts from entry,
+        // configured join timeout (the deadline still counts from entry,
         // so a published value cannot extend a wait already under way by
         // more than its own length).
         let host_os_pid = m.host_os_pid.load(Ordering::Acquire);
@@ -207,14 +207,8 @@ impl GuestProcess {
                 "NOSV_IPC_JOIN_TIMEOUT_MS",
                 m.join_timeout_ns.load(Ordering::Acquire),
             );
-        let submit_timeout = resolve_timeout(
-            "NOSV_IPC_SUBMIT_TIMEOUT_MS",
-            m.submit_timeout_ns.load(Ordering::Acquire),
-        );
-        let detach_timeout = resolve_timeout(
-            "NOSV_IPC_DETACH_TIMEOUT_MS",
-            m.detach_timeout_ns.load(Ordering::Acquire),
-        );
+        let submit_timeout = resolve_timeout("NOSV_IPC_SUBMIT_TIMEOUT_MS", 0);
+        let detach_timeout = resolve_timeout("NOSV_IPC_DETACH_TIMEOUT_MS", 0);
         let shards = (m.shards.load(Ordering::Acquire) as usize).max(1);
         let me = seg.attach_guest()?;
         // Death here leaves the slot in Requested with a valid record:

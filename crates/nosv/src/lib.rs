@@ -92,7 +92,7 @@ mod worker;
 pub use nosv_core::policy;
 
 pub use builder::RuntimeBuilder;
-pub use config::{DEFAULT_SUBMIT_LANES, DEFAULT_SUBMIT_RING_CAP};
+pub use config::DEFAULT_SUBMIT_RING_CAP;
 pub use error::NosvError;
 pub use ipc::GuestProcess;
 pub use nosv_core::DEFAULT_QUANTUM_NS;

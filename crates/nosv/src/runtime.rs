@@ -11,7 +11,7 @@ use nosv_shmem::{process_alive, JoinState, ProcessId, ShmSegment, Shoff, MAX_PRO
 use nosv_sync::{CpuGates, Mutex};
 
 use crate::builder::RuntimeBuilder;
-use crate::config::NosvConfig;
+use crate::config::{NosvConfig, RECLAIM_TICK};
 use crate::error::NosvError;
 use crate::obs::{CounterKind, ObsCollector, ObsEvent, ObsKind, TraceSink, NO_CPU};
 use crate::policy::SchedPolicy;
@@ -203,7 +203,9 @@ impl RuntimeInner {
                 // Submit racing with an in-progress pause(): the pausing
                 // thread is between "user decided to block" and the Paused
                 // store. Wait for it; this is the documented way to unblock.
-                TaskState::Running => std::thread::yield_now(),
+                // The store can also land between the Paused -> Ready
+                // attempt above and this read: retry the transitions.
+                TaskState::Running | TaskState::Paused => std::thread::yield_now(),
                 found => {
                     return Err(NosvError::InvalidTaskState {
                         found,
@@ -326,13 +328,13 @@ impl RuntimeInner {
     }
 
     /// One sweep of the reactor: process join handshakes, clean detaches,
-    /// and guest deaths across every registry slot. `first_dead` tracks
-    /// when each slot's process was first observed gone, implementing the
-    /// configured reclaim grace period.
-    fn reactor_tick(&self, first_dead: &mut HashMap<u32, Instant>, grace: Duration) {
+    /// and guest deaths across every registry slot. `half_open` tracks
+    /// when each half-open slot was first observed, so an attacher gets
+    /// the join timeout to publish its record.
+    fn reactor_tick(&self, half_open: &mut HashMap<u32, Instant>) {
         for slot in 0..MAX_PROCS as u32 {
             let Some(view) = self.seg.slot_view(slot) else {
-                first_dead.remove(&slot);
+                half_open.remove(&slot);
                 continue;
             };
             if view.pid == 0 {
@@ -344,14 +346,15 @@ impl RuntimeInner {
                 // eternity next to an attach's handful of stores — has to
                 // elapse first.
                 let dead_now = view.os_pid != 0 && !process_alive(view.os_pid as u32);
-                let since = *first_dead.entry(slot).or_insert_with(Instant::now);
+                let since = *half_open.entry(slot).or_insert_with(Instant::now);
                 let bound = Duration::from_nanos(self.config.join_timeout_ns);
                 if (dead_now || since.elapsed() >= bound) && self.seg.reclaim_half_open(slot) {
-                    first_dead.remove(&slot);
+                    half_open.remove(&slot);
                     self.emit(ObsKind::CrashReclaim, NO_CPU, view.os_pid, TaskId(0));
                 }
                 continue;
             }
+            half_open.remove(&slot);
             let id = ProcessId {
                 pid: view.pid,
                 slot,
@@ -360,9 +363,7 @@ impl RuntimeInner {
                 // Host-attached process (ProcessContext): not the
                 // reactor's business (its record is complete — the
                 // half-open branch above never saw it publish).
-                JoinState::None => {
-                    first_dead.remove(&slot);
-                }
+                JoinState::None => {}
                 JoinState::Requested => {
                     if !process_alive(view.os_pid as u32) {
                         // Died before the handshake completed: release
@@ -389,23 +390,18 @@ impl RuntimeInner {
                         self.emit(ObsKind::Attach, NO_CPU, view.os_pid, TaskId(0));
                     }
                 }
+                // The pid probe alone decides: a gone process is
+                // reclaimed in the sweep that first sees it gone. The CAS
+                // settles the race against a clean detach: whichever of
+                // Active->Dead (here) and Active->Leaving (guest) lands
+                // first decides how the slot is torn down.
                 JoinState::Active => {
-                    if process_alive(view.os_pid as u32) {
-                        first_dead.remove(&slot);
-                    } else {
-                        let since = *first_dead.entry(slot).or_insert_with(Instant::now);
-                        // The CAS settles the race against a clean detach:
-                        // whichever of Active->Dead (here) and
-                        // Active->Leaving (guest) lands first decides how
-                        // the slot is torn down.
-                        if since.elapsed() >= grace
-                            && self
-                                .seg
-                                .set_join_state(id, JoinState::Active, JoinState::Dead)
-                        {
-                            first_dead.remove(&slot);
-                            self.crash_reclaim(id, view.os_pid);
-                        }
+                    if !process_alive(view.os_pid as u32)
+                        && self
+                            .seg
+                            .set_join_state(id, JoinState::Active, JoinState::Dead)
+                    {
+                        self.crash_reclaim(id, view.os_pid);
                     }
                 }
                 JoinState::Leaving => match self.sched.unregister_proc(slot) {
@@ -414,7 +410,6 @@ impl RuntimeInner {
                         // Frees the registry slot; the guest observes
                         // `join_state() == None` and completes its detach.
                         self.seg.detach(id);
-                        first_dead.remove(&slot);
                     }
                     Err(_) => {
                         // Ready tasks of the leaving guest still queued:
@@ -467,12 +462,10 @@ impl RuntimeInner {
 /// Reactor thread body (named segments only); see
 /// [`RuntimeInner::reactor_tick`].
 fn reactor_main(rt: Arc<RuntimeInner>) {
-    let tick = Duration::from_nanos(rt.config.reclaim_tick_ns);
-    let grace = Duration::from_nanos(rt.config.reclaim_grace_ns);
-    let mut first_dead: HashMap<u32, Instant> = HashMap::new();
+    let mut half_open: HashMap<u32, Instant> = HashMap::new();
     while !rt.shutdown.load(Ordering::Acquire) {
-        rt.reactor_tick(&mut first_dead, grace);
-        std::thread::sleep(tick);
+        rt.reactor_tick(&mut half_open);
+        std::thread::sleep(RECLAIM_TICK);
     }
 }
 
@@ -570,16 +563,10 @@ impl Runtime {
             let m = unsafe { inner.seg.sref(meta) };
             m.shards
                 .store(inner.sched.shard_count() as u64, Ordering::Relaxed);
-            m.ring_cap
-                .store(inner.config.submit_ring_cap as u64, Ordering::Relaxed);
             m.host_os_pid
                 .store(std::process::id() as u64, Ordering::Relaxed);
             m.join_timeout_ns
                 .store(inner.config.join_timeout_ns, Ordering::Relaxed);
-            m.submit_timeout_ns
-                .store(inner.config.submit_timeout_ns, Ordering::Relaxed);
-            m.detach_timeout_ns
-                .store(inner.config.detach_timeout_ns, Ordering::Relaxed);
             m.sched_root
                 .store(inner.sched.root_raw(), Ordering::Release);
             inner.seg.init_user_root_once(|| meta);

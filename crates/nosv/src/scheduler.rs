@@ -28,7 +28,9 @@
 //!   spinner takes it). Unconstrained tasks claim any armed CPU
 //!   (preferring the standby); placed tasks claim their target core/node
 //!   (best-effort ones fall back to any armed CPU, the moral equivalent
-//!   of a steal). Everything else takes the ring path below.
+//!   of a steal). Everything else takes the ring path below. Disabling
+//!   the rings (`submit_ring(0)`) disables this path too, leaving the
+//!   pre-ring locked baseline.
 //! * the [`DtLock`] protecting each shard: workers asking for tasks
 //!   either win their shard's lock — becoming a transient *server* that
 //!   picks tasks for themselves and every waiting CPU of the shard with a
@@ -68,7 +70,7 @@ use nosv_shmem::{ClaimTable, LaneRing, ShmSegment, Shoff, MAX_PROCS};
 use nosv_sync::hint::crash_point;
 use nosv_sync::{Acquired, CpuGates, DtGuard, DtLock};
 
-use crate::config::NosvConfig;
+use crate::config::{NosvConfig, SUBMIT_LANES};
 use crate::error::NosvError;
 use crate::obs::{CounterKind, ObsCollector, ObsEvent, ObsKind};
 use crate::queue::TaskQueue;
@@ -160,27 +162,22 @@ struct SchedRoot {
 /// Guest-visible scheduler geometry, allocated in the segment by the host
 /// of a *named* segment and published through the header's user-root
 /// anchor ([`ShmSegment::init_user_root_once`]). A joining guest rederives
-/// everything it needs to submit — where the scheduler root lives, how
-/// many shards there are, the ring capacity — from this one block; nothing
-/// is exchanged out of band.
+/// everything it needs to submit — where the scheduler root lives and how
+/// many shards there are — from this one block (the rings themselves carry
+/// their capacity); nothing is exchanged out of band.
 #[repr(C)]
 pub(crate) struct GuestMeta {
     /// Raw `Shoff<SchedRoot>`; 0 until the host publishes it (guests poll).
     pub sched_root: AtomicU64,
     /// Number of scheduler shards.
     pub shards: AtomicU64,
-    /// Per-process submission ring capacity (entries).
-    pub ring_cap: AtomicU64,
     /// OS pid of the hosting process (diagnostics; lets a guest notice a
     /// dead host).
     pub host_os_pid: AtomicU64,
-    /// Host-configured guest IPC timeouts in nanoseconds (join handshake,
-    /// full-ring submit retry, clean detach). Guests adopt these after
-    /// mapping the block; 0 means "host predates the field" and falls
-    /// back to the guest-side default.
+    /// Host-configured join-handshake timeout in nanoseconds. Guests
+    /// adopt it after mapping the block; 0 falls back to the guest-side
+    /// default.
     pub join_timeout_ns: AtomicU64,
-    pub submit_timeout_ns: AtomicU64,
-    pub detach_timeout_ns: AtomicU64,
 }
 
 /// Pushes a guest task into the scheduler's lock-free submission machinery
@@ -303,13 +300,9 @@ pub(crate) struct Scheduler {
     map: ShardMap,
     cpus: usize,
     cpus_per_numa: usize,
-    /// Per-process, per-lane submission ring capacity; `0` = rings
-    /// disabled.
+    /// Per-process, per-lane submission ring capacity; `0` = rings and
+    /// idle-CPU direct dispatch disabled (the pre-ring locked baseline).
     ring_cap: usize,
-    /// Lanes per [`LaneRing`] (a power of two).
-    lanes: usize,
-    /// Whether submissions may claim idle CPUs directly.
-    direct_dispatch: bool,
     /// Workers currently inside a fetch ([`Scheduler::get_task`], between
     /// tasks). A hungry worker is guaranteed to observe freshly queued
     /// work before it can commit to sleep (the park path re-checks
@@ -424,8 +417,6 @@ impl Scheduler {
             cpus: config.cpus,
             cpus_per_numa: config.cpus_per_numa,
             ring_cap: config.submit_ring_cap,
-            lanes: config.resolved_lanes(),
-            direct_dispatch: config.direct_dispatch,
             hungry: AtomicU64::new(0),
             gates,
             hw_threads: std::thread::available_parallelism()
@@ -466,7 +457,7 @@ impl Scheduler {
                 // Idempotent: a re-registered slot reuses its existing
                 // rings. Allocation failure is not fatal — the slot simply
                 // submits through the locked path.
-                let _ = p.rings[s].init(&self.seg, self.lanes, self.ring_cap);
+                let _ = p.rings[s].init(&self.seg, SUBMIT_LANES, self.ring_cap);
             }
         }
         for s in 0..self.shards.len() {
@@ -617,7 +608,7 @@ impl Scheduler {
     /// task is never queued at all), a lock-free push into the submitting
     /// process's ring lane for the destination shard, or a locked enqueue
     /// (which first drains the shard's rings, so the fallback also
-    /// amortizes).
+    /// amortizes). With rings disabled only the locked enqueue remains.
     ///
     /// Production paths go through [`Scheduler::submit_with`] /
     /// [`Scheduler::submit_from`]; this affinity-decoding convenience
@@ -652,7 +643,7 @@ impl Scheduler {
         let d = unsafe { self.seg.sref(task) };
         let slot = d.slot.load(Ordering::Relaxed) as usize;
 
-        if self.direct_dispatch && self.try_direct(affinity, task) {
+        if self.ring_cap > 0 && self.try_direct(affinity, task) {
             return SubmitPath::Direct;
         }
 
@@ -732,7 +723,7 @@ impl Scheduler {
         let mut out = BatchSubmit::default();
         let mut idx = 0usize;
 
-        if self.direct_dispatch {
+        if self.ring_cap > 0 {
             idx = self.try_direct_batch(affinity, tasks);
             out.direct = idx as u64;
         }

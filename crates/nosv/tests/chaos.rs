@@ -148,7 +148,6 @@ fn run_point(point: &str) {
     let rt = Runtime::builder()
         .cpus(2)
         .segment_name(name.as_str())
-        .reclaim_tick(Duration::from_millis(1))
         // Also the half-open tolerance: a corpse with no os_pid on record
         // (died at `registry.claim.won`) frees only after this elapses.
         .join_timeout(Duration::from_millis(300))

@@ -79,7 +79,6 @@ fn guest_co_executes_over_named_segment() {
     let rt = Runtime::builder()
         .cpus(2)
         .segment_name(name.as_str())
-        .reclaim_tick(Duration::from_millis(1))
         .sink(sink.clone())
         .build()
         .expect("host build failed");
@@ -134,7 +133,6 @@ fn killed_guest_is_reclaimed_and_segment_torn_down() {
     let rt = Runtime::builder()
         .cpus(1)
         .segment_name(name.as_str())
-        .reclaim_tick(Duration::from_millis(1))
         .sink(sink.clone())
         .build()
         .expect("host build failed");

@@ -114,27 +114,6 @@ fn idle_runtime_serial_stream_rides_the_claim_slots() {
 }
 
 #[test]
-fn disabling_direct_dispatch_forces_the_queue_paths() {
-    let rt = Runtime::builder()
-        .cpus(2)
-        .direct_dispatch(false)
-        .build()
-        .expect("valid config");
-    let app = rt.attach("no-dd").expect("attach");
-    for _ in 0..50 {
-        let t = app.create_task(|_| {});
-        t.submit().expect("submit");
-        t.wait().unwrap();
-        t.destroy();
-    }
-    let stats = rt.stats();
-    drop(app);
-    rt.shutdown();
-    assert_eq!(stats.direct_dispatches, 0, "knob must disable the path");
-    assert_eq!(stats.ring_submits + stats.locked_submits, 50);
-}
-
-#[test]
 fn placed_tasks_direct_dispatch_to_their_target_core() {
     // Strict core-affinity tasks against a parked runtime: each must run
     // on its named core whether it went direct or through the queues. The

@@ -4,9 +4,10 @@
 //! concurrently while the workers drain. Every task must execute exactly
 //! once, every handle must observe completion, and the runtime counters
 //! must balance — under the default ring capacity, under a tiny ring that
-//! forces constant overflow onto the locked fallback path, with rings
-//! disabled outright, and across the lane-count × batch-size grid of the
-//! per-producer-lane submission path.
+//! forces constant overflow onto the locked fallback path, with rings (and
+//! with them idle-CPU direct dispatch) disabled outright, and with more
+//! producers than the 4 per-process submission lanes, submitting singly
+//! and in batches of every size class.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,7 +16,7 @@ use nosv::prelude::*;
 
 /// Drives `threads_per_proc * procs` concurrent submitters, each creating
 /// and submitting `tasks_per_thread` tasks; returns the observed execution
-/// count and the final stats. `lanes` of 0 keeps the default lane count.
+/// count and the final stats.
 fn hammer(
     cpus: usize,
     procs: usize,
@@ -23,22 +24,10 @@ fn hammer(
     tasks_per_thread: usize,
     ring_cap: usize,
 ) -> (u64, RuntimeStats) {
-    hammer_lanes(cpus, procs, threads_per_proc, tasks_per_thread, ring_cap, 0)
-}
-
-fn hammer_lanes(
-    cpus: usize,
-    procs: usize,
-    threads_per_proc: usize,
-    tasks_per_thread: usize,
-    ring_cap: usize,
-    lanes: usize,
-) -> (u64, RuntimeStats) {
     let rt = Arc::new(
         Runtime::builder()
             .cpus(cpus)
             .submit_ring(ring_cap)
-            .submit_lanes(lanes)
             .build()
             .expect("valid config"),
     );
@@ -96,7 +85,11 @@ fn check(cpus: usize, procs: usize, threads_per_proc: usize, per_thread: usize, 
         "{label}: every submission took exactly one path"
     );
     if ring_cap == 0 {
+        // The pre-ring baseline: no ring and no claim-slot handoff, so
+        // every submission takes the shard lock.
         assert_eq!(stats.ring_submits, 0, "{label}: rings disabled");
+        assert_eq!(stats.direct_dispatches, 0, "{label}: direct dispatch off");
+        assert_eq!(stats.locked_submits, total, "{label}: all locked");
     }
 }
 
@@ -131,6 +124,9 @@ fn tiny_ring_forces_overflow_fallback() {
 #[test]
 fn rings_disabled_is_correct_too() {
     check(2, 2, 2, 150, 0);
+    // One producer against otherwise idle workers: with rings on, some of
+    // these submissions would find an armed CPU and go direct.
+    check(2, 1, 1, 50, 0);
 }
 
 #[test]
@@ -147,15 +143,8 @@ fn hammer_batched(
     threads_per_proc: usize,
     batches_per_thread: usize,
     batch_size: usize,
-    lanes: usize,
 ) -> (u64, RuntimeStats) {
-    let rt = Arc::new(
-        Runtime::builder()
-            .cpus(cpus)
-            .submit_lanes(lanes)
-            .build()
-            .expect("valid config"),
-    );
+    let rt = Arc::new(Runtime::builder().cpus(cpus).build().expect("valid config"));
     let executed = Arc::new(AtomicU64::new(0));
     let app = Arc::new(rt.attach("batch-stress").expect("attach"));
     let submitters: Vec<_> = (0..threads_per_proc)
@@ -189,50 +178,35 @@ fn hammer_batched(
     (executed.load(Ordering::Relaxed), stats)
 }
 
-/// The lane grid: every lane count (single shared lane, the default, the
-/// max) must preserve exactly-once execution and balanced counters under
-/// concurrent producers — including more producers than lanes (hashed
-/// sharing).
+/// More producers than lanes: 8 submitter threads hash onto the 4 lanes
+/// of one process, so lanes are shared, and every task must still run
+/// exactly once with balanced counters.
 #[test]
 fn lane_grid_exactly_once() {
-    for lanes in [1usize, 4, 8] {
-        let total = (4 * 200) as u64;
-        let (executed, stats) = hammer_lanes(2, 1, 4, 200, nosv::DEFAULT_SUBMIT_RING_CAP, lanes);
-        let label = format!("lanes={lanes}");
+    check(2, 1, 8, 200, nosv::DEFAULT_SUBMIT_RING_CAP);
+}
+
+/// The batch-size grid under shared lanes: batch submission must be
+/// exactly-once with balanced counters for every batch size (including
+/// degenerate batches of one and batches far larger than a lane's
+/// capacity, which exercise the reserve-N overflow split), from 8
+/// producers sharing the 4 lanes.
+#[test]
+fn batch_grid_exactly_once() {
+    for batch_size in [1usize, 16, 256] {
+        // Keep the per-config task count comparable across sizes.
+        let batches_per_thread = (512 / batch_size).max(1);
+        let threads = 8;
+        let total = (threads * batches_per_thread * batch_size) as u64;
+        let (executed, stats) = hammer_batched(2, threads, batches_per_thread, batch_size);
+        let label = format!("batch={batch_size}");
         assert_eq!(executed, total, "{label}: body execution count");
         assert_eq!(stats.tasks_executed, total, "{label}: tasks_executed");
         assert_eq!(stats.tasks_submitted, total, "{label}: tasks_submitted");
         assert_eq!(
             stats.ring_submits + stats.locked_submits + stats.direct_dispatches,
             total,
-            "{label}: every submission took exactly one path"
+            "{label}: every batch member took exactly one path"
         );
-    }
-}
-
-/// The lane × batch-size grid: batch submission must be exactly-once with
-/// balanced counters for every combination of lane count and batch size
-/// (including degenerate batches of one and batches far larger than a
-/// lane's capacity, which exercise the reserve-N overflow split).
-#[test]
-fn batch_grid_exactly_once() {
-    for lanes in [1usize, 4, 8] {
-        for batch_size in [1usize, 16, 256] {
-            // Keep the per-config task count comparable across sizes.
-            let batches_per_thread = (512 / batch_size).max(1);
-            let threads = 4;
-            let total = (threads * batches_per_thread * batch_size) as u64;
-            let (executed, stats) =
-                hammer_batched(2, threads, batches_per_thread, batch_size, lanes);
-            let label = format!("lanes={lanes} batch={batch_size}");
-            assert_eq!(executed, total, "{label}: body execution count");
-            assert_eq!(stats.tasks_executed, total, "{label}: tasks_executed");
-            assert_eq!(stats.tasks_submitted, total, "{label}: tasks_submitted");
-            assert_eq!(
-                stats.ring_submits + stats.locked_submits + stats.direct_dispatches,
-                total,
-                "{label}: every batch member took exactly one path"
-            );
-        }
     }
 }

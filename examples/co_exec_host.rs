@@ -14,7 +14,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use nosv::prelude::*;
 
@@ -27,7 +26,6 @@ fn main() {
     let rt = Runtime::builder()
         .cpus(2)
         .segment_name(name.as_str())
-        .reclaim_tick(Duration::from_millis(1))
         .build()
         .expect("host runtime");
 

@@ -61,7 +61,7 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::ops::{Deref, DerefMut};
 
-use crate::hint::{crash_point, AtomicU32, AtomicU64, Ordering};
+use crate::hint::{AtomicU32, AtomicU64, Ordering};
 use crate::{Backoff, Padded};
 
 const SLOT_EMPTY: u32 = 0;
@@ -70,12 +70,6 @@ const SLOT_SERVED: u32 = 2;
 /// Claimed by a waiter that is still writing `meta`/`ticket` (publication
 /// in progress), or consuming a served value. Never served.
 const SLOT_CLAIMING: u32 = 3;
-/// The claiming waiter gave up ([`DtLock::acquire_timeout`]) and will never
-/// spin on `serving` again. Whoever advances `serving` onto this ticket —
-/// the releasing holder or the abandoning waiter itself, settled by a
-/// store-buffering handshake — evicts the ticket so the queue never waits
-/// on a corpse.
-const SLOT_ABANDONED: u32 = 4;
 
 struct Slot<V> {
     state: AtomicU32,
@@ -126,10 +120,6 @@ pub struct DtLock<D, V> {
     next: Padded<AtomicU64>,
     serving: Padded<AtomicU64>,
     slots: Box<[Padded<Slot<V>>]>,
-    /// Tickets that left the queue without ever running their critical
-    /// section (abandoned by [`DtLock::acquire_timeout`] and skipped by the
-    /// eviction handshake). Diagnostics only.
-    evictions: AtomicU64,
     data: UnsafeCell<D>,
 }
 
@@ -161,19 +151,8 @@ impl<D, V> DtLock<D, V> {
             next: Padded::new(AtomicU64::new(0)),
             serving: Padded::new(AtomicU64::new(0)),
             slots: slots.into_boxed_slice(),
-            evictions: AtomicU64::new(0),
             data: UnsafeCell::new(data),
         }
-    }
-
-    /// Tickets evicted from the queue so far (see [`DtLock::acquire_timeout`]).
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Number of waiter slots (maximum concurrent users).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// Acquires the lock or waits to be served.
@@ -265,181 +244,6 @@ impl<D, V> DtLock<D, V> {
         }
     }
 
-    /// Like [`DtLock::acquire`], but gives up after roughly `patience`
-    /// backoff rounds of waiting, **evicting its ticket** from the FIFO so
-    /// the remaining queue is exactly as if this thread had never asked.
-    ///
-    /// Returns `None` on timeout. The caller may already have been chosen
-    /// before the eviction settled — a served value cannot be refused and
-    /// lock ownership cannot be silently discarded — so `Some(Served(..))`
-    /// and `Some(Holder(..))` are still possible after any amount of
-    /// waiting and callers must handle them.
-    ///
-    /// This is the dead-waiter defense for the delegation queue: a ticket
-    /// whose owner will never spin on `serving` again (it panicked, was
-    /// told its runtime is shutting down, or its host died) would otherwise
-    /// wedge the lock forever the moment a release hands `serving` to it.
-    /// Eviction is a store-buffering handshake: the abandoning waiter marks
-    /// its slot `ABANDONED` *then* re-reads `serving`, while a releasing
-    /// holder stores `serving` *then* re-reads the slot state — with both
-    /// sides `SeqCst`, at least one observes the other, and whichever wins
-    /// the slot's `ABANDONED → EMPTY` CAS advances `serving` past the
-    /// corpse. Evicted tickets are counted ([`DtLock::evictions`]).
-    pub fn acquire_timeout(&self, meta: u64, patience: usize) -> Option<Acquired<'_, D, V>> {
-        let ticket = self.next.fetch_add(1, Ordering::Relaxed);
-        crash_point("dtlock.ticket.taken");
-        if self.serving.load(Ordering::Acquire) == ticket {
-            return Some(Acquired::Holder(DtGuard {
-                lock: self,
-                ticket,
-                served: 0,
-            }));
-        }
-        let slot = &self.slots[(ticket as usize) % self.slots.len()];
-        // The claim spin cannot time out: the ticket is already allocated,
-        // and an unclaimed ticket that walked away would leave `serving`
-        // pointing at a slot nobody will ever mark — an unfixable wedge.
-        // Patience exhausted here only means the slot is abandoned the
-        // instant it is claimed, without ever publishing WAITING.
-        let mut spent = 0usize;
-        let mut backoff = Backoff::new();
-        loop {
-            if self.serving.load(Ordering::Acquire) == ticket {
-                return Some(Acquired::Holder(DtGuard {
-                    lock: self,
-                    ticket,
-                    served: 0,
-                }));
-            }
-            if slot
-                .state
-                .compare_exchange_weak(
-                    SLOT_EMPTY,
-                    SLOT_CLAIMING,
-                    Ordering::Acquire,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
-            {
-                break;
-            }
-            backoff.snooze();
-            spent += 1;
-        }
-        crash_point("dtlock.slot.claimed");
-        slot.meta.store(meta, Ordering::Relaxed);
-        slot.ticket.store(ticket, Ordering::Relaxed);
-        if spent >= patience {
-            slot.state.store(SLOT_ABANDONED, Ordering::SeqCst);
-            return self.finish_abandon(ticket, slot);
-        }
-        slot.state.store(SLOT_WAITING, Ordering::Release);
-
-        let mut backoff = Backoff::new();
-        loop {
-            match slot.state.load(Ordering::Acquire) {
-                SLOT_SERVED => {
-                    // SAFETY: the server wrote the value before the Release
-                    // store of SLOT_SERVED which we just Acquire-loaded.
-                    let value = unsafe { (*slot.value.get()).assume_init_read() };
-                    slot.state.store(SLOT_EMPTY, Ordering::Release);
-                    return Some(Acquired::Served(value));
-                }
-                _ => {
-                    if self.serving.load(Ordering::Acquire) == ticket {
-                        slot.state.store(SLOT_EMPTY, Ordering::Release);
-                        return Some(Acquired::Holder(DtGuard {
-                            lock: self,
-                            ticket,
-                            served: 0,
-                        }));
-                    }
-                    if spent >= patience {
-                        match slot.state.compare_exchange(
-                            SLOT_WAITING,
-                            SLOT_ABANDONED,
-                            Ordering::SeqCst,
-                            Ordering::SeqCst,
-                        ) {
-                            Ok(_) => return self.finish_abandon(ticket, slot),
-                            // A server beat us to the slot: the only other
-                            // transition out of WAITING is SERVED, which the
-                            // next loop iteration consumes.
-                            Err(_) => continue,
-                        }
-                    }
-                    backoff.snooze();
-                    spent += 1;
-                }
-            }
-        }
-    }
-
-    /// Second half of the eviction handshake: the slot is `ABANDONED`; if
-    /// `serving` already reached our ticket (the releaser missed the mark),
-    /// reclaim the slot ourselves and pass the lock on.
-    fn finish_abandon(&self, ticket: u64, slot: &Slot<V>) -> Option<Acquired<'_, D, V>> {
-        crash_point("dtlock.abandon.marked");
-        if self.serving.load(Ordering::SeqCst) == ticket
-            && slot
-                .state
-                .compare_exchange(
-                    SLOT_ABANDONED,
-                    SLOT_EMPTY,
-                    Ordering::SeqCst,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
-        {
-            // The lock was handed to us before anyone saw the abandonment:
-            // we transiently own it, so we are the ones who must advance
-            // `serving` (counting ourselves among the evicted).
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            self.release_from(ticket + 1);
-        }
-        None
-    }
-
-    /// Releases the lock to ticket `n`, evicting every abandoned ticket in
-    /// the way. Shared by [`DtGuard::drop`] and the self-eviction path of
-    /// [`DtLock::acquire_timeout`].
-    ///
-    /// For each candidate: publish `serving = n` first, then re-read the
-    /// slot (the releaser half of the store-buffering handshake described
-    /// on [`DtLock::acquire_timeout`]). A live waiter takes ownership from
-    /// the `serving` store; an abandoned one is evicted by winning its
-    /// `ABANDONED → EMPTY` CAS, and the scan moves to the next ticket. If
-    /// the CAS is lost, the abandoning waiter observed `serving == n`
-    /// itself and owns the advance — stop immediately.
-    fn release_from(&self, mut n: u64) {
-        loop {
-            self.serving.store(n, Ordering::SeqCst);
-            if n >= self.next.load(Ordering::SeqCst) {
-                // No such ticket yet: a future acquirer will see
-                // `serving == ticket` and take the lock directly.
-                return;
-            }
-            let slot = &self.slots[(n as usize) % self.slots.len()];
-            if slot.state.load(Ordering::SeqCst) == SLOT_ABANDONED
-                && slot.ticket.load(Ordering::Relaxed) == n
-                && slot
-                    .state
-                    .compare_exchange(
-                        SLOT_ABANDONED,
-                        SLOT_EMPTY,
-                        Ordering::SeqCst,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-            {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                n += 1;
-                continue;
-            }
-            return;
-        }
-    }
-
     /// Acquires the lock unconditionally as a holder, never being served.
     ///
     /// Used for maintenance paths (attach/detach) that must run the critical
@@ -458,16 +262,6 @@ impl<D, V> DtLock<D, V> {
             ticket,
             served: 0,
         }
-    }
-
-    /// Returns a mutable reference to the protected data without locking.
-    pub fn get_mut(&mut self) -> &mut D {
-        self.data.get_mut()
-    }
-
-    /// Consumes the lock, returning the protected data.
-    pub fn into_inner(self) -> D {
-        self.data.into_inner()
     }
 }
 
@@ -525,8 +319,8 @@ impl<'a, D, V> DtGuard<'a, D, V> {
 
     /// Serves the next waiter `value`, consuming its turn.
     ///
-    /// Returns `false` (and returns `value` untouched via `Err`) if there is
-    /// no published waiter to serve.
+    /// Returns `value` untouched via `Err` if there is no published waiter
+    /// to serve.
     pub fn serve_next(&mut self, value: V) -> Result<(), V> {
         let w = self.ticket + self.served + 1;
         if w >= self.lock.next.load(Ordering::Acquire) {
@@ -549,40 +343,14 @@ impl<'a, D, V> DtGuard<'a, D, V> {
         }
         // SAFETY: the slot is in WAITING state and claimed by ticket `w`
         // (the slot's ticket word matches): its owner spins on `state` and
-        // does not touch `value` unless it observes SLOT_SERVED — its only
-        // other exit from WAITING is the abandon CAS to SLOT_ABANDONED
-        // (after which it never reads `value`), which the handoff CAS
-        // below detects. `serving` cannot reach `w` while we (an earlier
-        // ticket) hold the lock.
+        // does not touch `value` unless it observes SLOT_SERVED. Nothing
+        // else moves the slot out of WAITING while we hold the lock: its
+        // owner's only other exit is seeing `serving == w`, and `serving`
+        // cannot reach `w` while we (an earlier ticket) hold the lock.
         unsafe { (*slot.value.get()).write(value) };
-        match slot.state.compare_exchange(
-            SLOT_WAITING,
-            SLOT_SERVED,
-            Ordering::Release,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => {
-                self.served += 1;
-                Ok(())
-            }
-            Err(_) => {
-                // The waiter abandoned between our WAITING check and the
-                // handoff; it will never look at the slot's value again.
-                // SAFETY: we wrote the value above and nobody consumed it.
-                let value = unsafe { (*slot.value.get()).assume_init_read() };
-                Err(value)
-            }
-        }
-    }
-
-    /// The ticket number this guard holds (diagnostics/tests).
-    pub fn ticket(&self) -> u64 {
-        self.ticket
-    }
-
-    /// How many waiters this holder has served so far.
-    pub fn served(&self) -> u64 {
-        self.served
+        slot.state.store(SLOT_SERVED, Ordering::Release);
+        self.served += 1;
+        Ok(())
     }
 }
 
@@ -608,9 +376,11 @@ impl<D, V> Drop for DtGuard<'_, D, V> {
     #[inline]
     fn drop(&mut self) {
         // Skip every ticket we served; hand the lock to the first unserved
-        // waiter (or mark it free if none), evicting abandoned tickets in
-        // the way (see `DtLock::release_from`).
-        self.lock.release_from(self.ticket + self.served + 1);
+        // waiter (or mark it free if none). Release: the next holder's
+        // Acquire load of `serving` sees our critical section.
+        self.lock
+            .serving
+            .store(self.ticket + self.served + 1, Ordering::Release);
     }
 }
 
@@ -878,61 +648,5 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_panics() {
         let _ = DtLock::<(), ()>::new((), 0);
-    }
-
-    #[test]
-    fn acquire_timeout_uncontended_is_holder() {
-        let lock = DtLock::<u32, u64>::new(3, 2);
-        match lock.acquire_timeout(0, 0) {
-            Some(Acquired::Holder(g)) => assert_eq!(*g, 3),
-            other => panic!("expected an uncontended hold, got {:?}", other.is_none()),
-        }
-        assert_eq!(lock.evictions(), 0);
-    }
-
-    #[test]
-    fn abandoned_ticket_is_evicted_on_release() {
-        let lock = Arc::new(DtLock::<u32, u64>::new(0, 2));
-        let guard = lock.lock();
-        // The waiter abandons while we hold the lock, so its ticket sits
-        // unserved in the FIFO when we release.
-        let waiter = {
-            let lock = Arc::clone(&lock);
-            thread::spawn(move || lock.acquire_timeout(5, 0).is_none())
-        };
-        let abandoned = waiter.join().unwrap();
-        assert!(abandoned, "nobody held the lock open for the waiter");
-        drop(guard);
-        // Release evicted the corpse: the lock is immediately acquirable
-        // and the eviction was counted.
-        assert!(matches!(lock.acquire(0), Acquired::Holder(_)));
-        assert_eq!(lock.evictions(), 1);
-    }
-
-    #[test]
-    fn abandon_storm_never_wedges() {
-        const THREADS: usize = 4;
-        const ITERS: usize = if cfg!(miri) { 20 } else { 500 };
-        let lock = Arc::new(DtLock::<usize, ()>::new(0, 2));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let lock = Arc::clone(&lock);
-                thread::spawn(move || {
-                    for i in 0..ITERS {
-                        match lock.acquire_timeout(0, i % 3) {
-                            Some(Acquired::Holder(mut g)) => *g += 1,
-                            Some(Acquired::Served(())) | None => {}
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        // Still consistent and acquirable after arbitrary interleavings of
-        // holds and evictions.
-        let g = lock.lock();
-        assert!(*g <= THREADS * ITERS);
     }
 }

@@ -183,161 +183,6 @@ fn dtlock_mutation_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// DtLock: dead-waiter eviction (crash points dtlock.ticket.taken,
-// dtlock.slot.claimed, dtlock.abandon.marked)
-// ---------------------------------------------------------------------------
-
-/// What the abandoning waiter's `acquire_timeout` ended up doing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AbandonOutcome {
-    /// Timed out and evicted its ticket (returned `None`).
-    Abandoned,
-    /// Was served a value before the eviction settled.
-    Served,
-    /// Became the holder before the eviction settled.
-    Held,
-}
-
-/// A holder, an impatient waiter (`acquire_timeout` with zero patience —
-/// the model stand-in for a waiter whose thread dies at the windows the
-/// `dtlock.ticket.taken` / `dtlock.slot.claimed` / `dtlock.abandon.marked`
-/// crash points mark) and a patient survivor contend for a two-item queue.
-/// Invariants: the survivor always completes (an unevicted corpse in the
-/// FIFO wedges `serving` and deadlocks the schedule), every delivered item
-/// is delivered exactly once, nothing is lost, and a timed-out waiter is
-/// counted evicted once the queue has provably moved past its ticket.
-fn dtlock_abandon_round(patience: usize) {
-    let lock = Arc::new(DtLock::<Vec<u64>, u64>::new(vec![1, 2], 2));
-    let delivered = Arc::new([
-        AtomicUsize::new(0),
-        AtomicUsize::new(0),
-        AtomicUsize::new(0),
-    ]);
-
-    // Main holds the lock while both contenders take tickets.
-    let holder = match lock.acquire(0) {
-        Acquired::Holder(g) => g,
-        Acquired::Served(_) => unreachable!("nobody can serve the first ticket"),
-    };
-
-    let abandoner = {
-        let lock = Arc::clone(&lock);
-        let delivered = Arc::clone(&delivered);
-        thread::spawn(move || match lock.acquire_timeout(7, patience) {
-            None => AbandonOutcome::Abandoned,
-            Some(Acquired::Served(v)) => {
-                delivered[v as usize].fetch_add(1, StdOrdering::Relaxed);
-                AbandonOutcome::Served
-            }
-            Some(Acquired::Holder(mut g)) => {
-                if let Some(v) = g.pop() {
-                    delivered[v as usize].fetch_add(1, StdOrdering::Relaxed);
-                }
-                AbandonOutcome::Held
-            }
-        })
-    };
-    let survivor = {
-        let lock = Arc::clone(&lock);
-        let delivered = Arc::clone(&delivered);
-        thread::spawn(move || match lock.acquire(9) {
-            Acquired::Served(v) => {
-                delivered[v as usize].fetch_add(1, StdOrdering::Relaxed);
-            }
-            Acquired::Holder(mut g) => {
-                if let Some(v) = g.pop() {
-                    delivered[v as usize].fetch_add(1, StdOrdering::Relaxed);
-                }
-            }
-        })
-    };
-
-    // The holder serves at most one visible waiter, then releases into
-    // whatever mix of live and abandoned tickets the schedule produced.
-    let mut holder = holder;
-    if holder.next_waiter_meta().is_some() {
-        if let Some(v) = holder.pop() {
-            if let Err(v) = holder.serve_next(v) {
-                holder.push(v);
-            }
-        }
-    }
-    drop(holder);
-
-    let outcome = abandoner.join().unwrap();
-    survivor.join().unwrap();
-
-    // Acquirability after the dust settles is the wedge check: this ticket
-    // sits behind every abandoned one, so serving it proves the evictions
-    // happened.
-    let remaining = lock.lock().len();
-    let got: usize = delivered.iter().map(|c| c.load(StdOrdering::Relaxed)).sum();
-    assert!(
-        delivered.iter().all(|c| c.load(StdOrdering::Relaxed) <= 1),
-        "an item was delivered twice"
-    );
-    assert_eq!(got + remaining, 2, "an item vanished from the queue");
-    if outcome == AbandonOutcome::Abandoned {
-        assert!(
-            lock.evictions() >= 1,
-            "timed-out ticket left the queue without being counted evicted"
-        );
-    }
-}
-
-/// The two-party Dekker core of the eviction handshake, DFS-enumerated: a
-/// holder releases exactly while the only waiter abandons, on a one-slot
-/// ring so the abandoned ticket is unskippable. Either side may win the
-/// `ABANDONED → EMPTY` CAS; a wedge (both sides concluding the other
-/// advances `serving`) deadlocks the final `lock()`.
-fn dtlock_abandon_handoff() {
-    let lock = Arc::new(DtLock::<(), ()>::new((), 1));
-    let holder = lock.lock();
-    let abandoner = {
-        let lock = Arc::clone(&lock);
-        thread::spawn(move || match lock.acquire_timeout(1, 0) {
-            None | Some(Acquired::Served(())) => {}
-            Some(Acquired::Holder(g)) => drop(g),
-        })
-    };
-    drop(holder);
-    abandoner.join().unwrap();
-    drop(lock.lock());
-}
-
-/// Randomized sweep of the three-party abandon scenario with zero patience
-/// (abandon as early as possible: the ticket-taken/slot-claimed windows).
-#[test]
-#[cfg(not(nosv_check_mutations))]
-fn dtlock_dead_waiter_eviction_random() {
-    let cfg = Config::from_env(Strategy::Random { schedules: 3000 });
-    let r = explore(cfg, || dtlock_abandon_round(0)).assert_ok();
-    summarize("dtlock_dead_waiter_eviction_random", &r);
-    assert_mostly_distinct(&r);
-}
-
-/// Same scenario with patience 1: the abandon fires from the published
-/// WAITING state, racing the holder's serve against the eviction mark.
-#[test]
-#[cfg(not(nosv_check_mutations))]
-fn dtlock_dead_waiter_eviction_late_random() {
-    let cfg = Config::from_env(Strategy::Random { schedules: 3000 });
-    let r = explore(cfg, || dtlock_abandon_round(1)).assert_ok();
-    summarize("dtlock_dead_waiter_eviction_late_random", &r);
-}
-
-/// Exhaustive DFS of the release-vs-abandon Dekker handshake.
-#[test]
-#[cfg(not(nosv_check_mutations))]
-fn dtlock_abandon_handoff_dfs() {
-    let cfg = Config::from_env(Strategy::Dfs {
-        max_schedules: 4000,
-    });
-    let r = explore(cfg, dtlock_abandon_handoff).assert_ok();
-    summarize("dtlock_abandon_handoff_dfs", &r);
-}
-
-// ---------------------------------------------------------------------------
 // IdleGate: no lost wakeups
 // ---------------------------------------------------------------------------
 

@@ -172,8 +172,6 @@ counter_kinds! {
     TaskPanics => "task_panics",
     /// Stranded ring reservations force-retired by crash reclaim.
     StrandedSlotRepairs => "stranded_slot_repairs",
-    /// Dead waiters evicted from shard delegation locks.
-    DeadWaiterEvictions => "dead_waiter_evictions",
 }
 
 /// What happened. The scheduling-action kinds carry the task life cycle;

@@ -111,13 +111,11 @@ impl RuntimeInner {
         }
     }
 
-    /// The summed counter table, plus the two counts kept outside it: the
-    /// election count in the gates (written only by the election CAS) and
-    /// the eviction count summed over the shard DTLocks.
+    /// The summed counter table, plus the one count kept outside it: the
+    /// election count in the gates (written only by the election CAS).
     pub(crate) fn counter_table(&self) -> CounterTable {
         let mut table = self.counters.sum();
         table[CounterKind::StandbyElections as usize] = self.gates.standby_elections();
-        table[CounterKind::DeadWaiterEvictions as usize] = self.sched.dtlock_evictions();
         table
     }
 
@@ -214,7 +212,7 @@ impl RuntimeInner {
                 }
             }
         };
-        self.enqueue_ready(desc, from, affinity)
+        self.enqueue_ready(desc, from, affinity, false)
     }
 
     /// The yield self-resubmission (`nosv_yield`'s requeue half): exactly
@@ -236,18 +234,20 @@ impl RuntimeInner {
             return Ok(());
         }
         let affinity = Affinity::decode(d.affinity.load(Ordering::Relaxed));
-        self.enqueue_ready(desc, TaskState::Paused, affinity)
+        self.enqueue_ready(desc, TaskState::Paused, affinity, true)
     }
 
     /// Enqueues a descriptor whose `Ready` transition (from `from`) the
     /// caller just performed: shutdown handshake, counters, the actual
     /// scheduler insert, and the targeted wakeup. `affinity` is the
-    /// descriptor's decoded placement (decoded once by the caller).
+    /// descriptor's decoded placement (decoded once by the caller); a
+    /// `yielded` task is requeued through [`Scheduler::submit_yield`].
     fn enqueue_ready(
         &self,
         desc: Shoff<TaskDesc>,
         from: TaskState,
         affinity: Affinity,
+        yielded: bool,
     ) -> Result<(), NosvError> {
         // SAFETY: as in the callers.
         let d = unsafe { self.seg.sref(desc) };
@@ -282,13 +282,18 @@ impl RuntimeInner {
             d.pid.load(Ordering::Relaxed),
             TaskId(d.id.load(Ordering::Relaxed)),
         );
-        let path = match self.sched.submit_with(desc, affinity) {
-            // Handed straight to an idle CPU's claim slot: the scheduler
-            // already woke exactly that CPU, and the task was never
-            // queued.
-            SubmitPath::Direct => CounterKind::DirectDispatches,
-            SubmitPath::Ring => CounterKind::RingSubmits,
-            SubmitPath::Locked => CounterKind::LockedSubmits,
+        let path = if yielded {
+            self.sched.submit_yield(desc, affinity, producer_tag());
+            CounterKind::LockedSubmits
+        } else {
+            match self.sched.submit_with(desc, affinity) {
+                // Handed straight to an idle CPU's claim slot: the
+                // scheduler already woke exactly that CPU, and the task
+                // was never queued.
+                SubmitPath::Direct => CounterKind::DirectDispatches,
+                SubmitPath::Ring => CounterKind::RingSubmits,
+                SubmitPath::Locked => CounterKind::LockedSubmits,
+            }
         };
         self.counters.add(cpu, path, 1);
         // Queued: wake exactly the sleepers the task needs — the target

@@ -566,12 +566,6 @@ impl Scheduler {
         report
     }
 
-    /// Dead waiters evicted across all shard delegation locks (feeds
-    /// [`crate::RuntimeStats::dead_waiter_evictions`]).
-    pub(crate) fn dtlock_evictions(&self) -> u64 {
-        self.shards.iter().map(|l| l.evictions()).sum()
-    }
-
     pub(crate) fn set_app_priority(&self, slot: u32, priority: i32) {
         for lock in self.shards.iter() {
             let mut core = lock.lock();
@@ -692,6 +686,25 @@ impl Scheduler {
         core.route(&mut store, task);
         drop(core);
         SubmitPath::Locked
+    }
+
+    /// Requeues a yielding task (`nosv_yield`) behind all equal-priority
+    /// work already submitted to its shard, whichever ring lane that work
+    /// sits in: under the shard's lock, drain the shard's rings first,
+    /// then route the task through [`SchedCore::yield_task`]. A ring push
+    /// would only queue it behind its own lane, and a direct dispatch
+    /// would run it ahead of everything. The caller counts a locked
+    /// submit and wakes through [`Scheduler::wake_for`].
+    pub(crate) fn submit_yield(&self, task: ReadyTask, affinity: Affinity, submitter: u64) {
+        let shard = self.map.route_shard(affinity, submitter);
+        // Counted before it becomes pickable, as in `submit_from`.
+        self.root().shard_hot[shard]
+            .ready
+            .fetch_add(1, Ordering::SeqCst);
+        let mut core = self.shards[shard].lock();
+        self.drain_rings_locked(&mut core, shard);
+        let mut store = self.store(shard);
+        core.yield_task(&mut store, task);
     }
 
     /// Batch submission: inserts `tasks` (all of one process `slot`,
@@ -1440,6 +1453,24 @@ mod tests {
         );
         let t = sched.get_task(0, 0, &c, &obs()).unwrap();
         assert_eq!(id_of(&seg, t), 1);
+    }
+
+    /// A yield lands behind equal-priority work in *any* ring lane: `b`
+    /// waits in another producer's lane, and the yield comes from the
+    /// lane-0 producer. A drain visits lanes in index order, so a ring
+    /// push of the yield would be picked before `b`.
+    #[test]
+    fn yield_requeues_behind_work_in_other_lanes() {
+        let (seg, sched) = setup(1, 0, 1_000_000);
+        let c = Counters::new(0);
+        sched.register_proc(0, 10);
+        let a = mk_task(&seg, 1, 0, 10, 0, Affinity::None);
+        let b = mk_task(&seg, 2, 0, 10, 0, Affinity::None);
+        assert_eq!(sched.submit_from(b, Affinity::None, 1), SubmitPath::Ring);
+        sched.submit_yield(a, Affinity::None, 0);
+        assert_eq!(id_of(&seg, sched.get_task(0, 0, &c, &obs()).unwrap()), 2);
+        assert_eq!(id_of(&seg, sched.get_task(0, 0, &c, &obs()).unwrap()), 1);
+        assert!(!sched.has_ready());
     }
 
     #[test]

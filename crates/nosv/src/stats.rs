@@ -95,7 +95,8 @@ pub struct RuntimeStats {
     /// feed the scheduler without touching its delegation lock).
     pub ring_submits: u64,
     /// Submissions that took the locked fallback path (rings disabled via
-    /// [`crate::RuntimeBuilder::submit_ring`]`(0)`, or a full ring).
+    /// [`crate::RuntimeBuilder::submit_ring`]`(0)`, or a full ring), and
+    /// [`crate::yield_now`] requeues, which always take the lock.
     pub locked_submits: u64,
     /// Submissions handed straight to an idle CPU through its claim slot
     /// (never queued, never picked — the direct-dispatch fast path).
@@ -119,11 +120,6 @@ pub struct RuntimeStats {
     /// on a serial stream (re-electing per task was the 2–4 CPU
     /// single-producer throughput dip).
     pub standby_elections: u64,
-    /// Dead waiters evicted from shard delegation locks: DTLock tickets
-    /// whose holder abandoned the wait (timeout or death) and whose slot
-    /// a releaser or the abandoner itself reaped, keeping the serve order
-    /// moving past the corpse.
-    pub dead_waiter_evictions: u64,
 }
 
 impl RuntimeStats {
@@ -166,7 +162,6 @@ impl RuntimeStats {
             CounterKind::TaskPanics => &mut self.task_panics,
             CounterKind::StrandedSlotRepairs => &mut self.stranded_slot_repairs,
             CounterKind::StandbyElections => &mut self.standby_elections,
-            CounterKind::DeadWaiterEvictions => &mut self.dead_waiter_evictions,
             _ => return None,
         })
     }

@@ -620,10 +620,13 @@ pub fn pause() {
 ///
 /// The requeue decision is implemented once, in the backend-agnostic
 /// scheduling core (`nosv_core::SchedCore::yield_task`): queues are FIFO
-/// within a priority level, so the yield lands after every task of equal
-/// priority in both the live runtime and the simulator. Mechanically this
-/// is a pause plus an immediate self-resubmission, and is accounted as
-/// one pause + one resume in [`crate::RuntimeStats`].
+/// within a priority level, so the yield lands after every queued task of
+/// equal priority. The requeue takes the scheduler shard's lock and first
+/// drains the shard's submission rings, so work submitted from any thread
+/// before the yield counts as queued, whichever ring lane it was pushed
+/// to. Mechanically this is a pause plus an immediate self-resubmission,
+/// and is accounted as one pause + one resume (and one locked submit) in
+/// [`crate::RuntimeStats`].
 ///
 /// With no other ready work, the task resumes immediately (after one
 /// round trip through the scheduler).
@@ -670,8 +673,9 @@ fn pause_inner(yield_back: bool) {
         // nosv_yield: resubmit ourselves right away through the dedicated
         // yield path (one Paused->Ready attempt; losing the race to a
         // concurrent external resubmission is success — we are requeued
-        // either way). The submission routes through the scheduling core,
-        // which requeues the task behind all equal-priority ready work;
+        // either way). The submission drains the shard's rings under its
+        // lock and routes through the scheduling core, which requeues the
+        // task behind all equal-priority ready work;
         // whichever worker pops it resume-hands the core back to this
         // thread. A yield racing runtime teardown can fail with
         // ShutdownInProgress — then nobody can resume us and the shutdown

@@ -30,10 +30,11 @@ const KERNEL: u64 = 9;
 
 /// Every crash point a *guest* process can reach: the join/attach path
 /// (`registry.*`, `ipc.*`) and the submission path (`sched.*`, `ring.push`,
-/// `ring.lane`). The host-only points (`ring.push_n.*` batch submission,
-/// `dtlock.*` delegation) are exercised by the model suites instead —
-/// killing the host is the guests' problem, covered by the host-death
-/// probes in `ipc.rs` tests.
+/// `ring.lane`). The host-only points (`ring.push_n.*` batch submission)
+/// are exercised by the model suites instead — killing the host is the
+/// guests' problem, covered by the host-death probes in `ipc.rs` tests.
+/// The scheduler's delegation locks have no crash points: they live in
+/// the host's heap, out of every guest's reach.
 const GUEST_POINTS: &[&str] = &[
     "registry.claim.won",
     "registry.record.published",

@@ -145,12 +145,18 @@ fn task_priorities_order_execution() {
     let app = rt.attach("prio").unwrap();
     let order = Arc::new(Mutex::new(Vec::<i32>::new()));
     let (tx, rx) = mpsc::channel::<()>();
+    let (started_tx, started) = mpsc::channel::<()>();
 
-    // A blocker occupies the single core while we enqueue the rest.
+    // A blocker occupies the single core while we enqueue the rest. Wait
+    // until it runs: submitted while the worker is still starting up, it
+    // would share the queue with the prioritized tasks, and the worker
+    // could pick among a partial set of them.
     let blocker = app.create_task(move |_| {
+        started_tx.send(()).unwrap();
         rx.recv().unwrap();
     });
     blocker.submit().unwrap();
+    started.recv().unwrap();
 
     let mut tasks = Vec::new();
     for prio in [0, 5, 1, 9, 3] {

@@ -15,7 +15,8 @@
 //!   from sink-side storage costs).
 //!
 //! Writes the results to `BENCH_trace.json` (override the path with
-//! `BENCH_TRACE_OUT`) so the perf trajectory is recorded run over run.
+//! `BENCH_TRACE_OUT`) so the perf trajectory is recorded run over run,
+//! stamped with the host it was measured on (`bench::host_json`).
 //!
 //! Run with: `cargo bench -p bench --bench trace_overhead`
 
@@ -23,6 +24,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nosv::prelude::*;
+
+/// Runtime CPUs of every configuration.
+const CPUS: usize = 2;
 
 /// A sink that swallows events (emission-path cost only).
 struct NullSink;
@@ -67,7 +71,7 @@ fn main() {
     println!("== trace_overhead: observability hot-path cost ==");
 
     let (off_ns, off_iters) = {
-        let rt = Runtime::builder().cpus(2).build().expect("valid");
+        let rt = Runtime::builder().cpus(CPUS).build().expect("valid");
         let r = lifecycle_ns(&rt, || {});
         rt.shutdown();
         r
@@ -78,7 +82,7 @@ fn main() {
         let sink = Arc::new(MemorySink::new());
         let drain_sink = Arc::clone(&sink);
         let rt = Runtime::builder()
-            .cpus(2)
+            .cpus(CPUS)
             .sink(sink.clone())
             .build()
             .expect("valid");
@@ -92,7 +96,7 @@ fn main() {
 
     let (null_ns, null_iters) = {
         let rt = Runtime::builder()
-            .cpus(2)
+            .cpus(CPUS)
             .sink(Arc::new(NullSink))
             .build()
             .expect("valid");
@@ -115,11 +119,13 @@ fn main() {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json").to_string()
     });
     let json = format!(
-        "{{\n  \"bench\": \"trace_overhead\",\n  \"unit\": \"ns_per_task_lifecycle\",\n  \
+        "{{\n  \"bench\": \"trace_overhead\",\n  \"host\": {},\n  \
+         \"unit\": \"ns_per_task_lifecycle\",\n  \
          \"tracing_off\": {off_ns:.1},\n  \"memory_sink\": {mem_ns:.1},\n  \
          \"null_sink\": {null_ns:.1},\n  \"overhead_ratio_memory\": {ratio_mem:.4},\n  \
          \"overhead_ratio_null\": {ratio_null:.4},\n  \"acceptance_bar\": 2.0,\n  \
          \"within_bar\": {}\n}}\n",
+        bench::host_json(CPUS),
         ratio_mem < 2.0
     );
     match std::fs::write(&out, &json) {

@@ -81,3 +81,43 @@ pub fn score_samples(outcomes: &[ComboOutcome]) -> [Vec<f64>; 6] {
 pub fn median(values: &[f64]) -> f64 {
     BoxStats::of(values).median
 }
+
+/// The host a `BENCH_*.json` record was measured on, as a JSON object:
+/// `available_parallelism`, CPU model, kernel release, the git revision
+/// of the checkout (suffixed `-dirty` when the work tree has uncommitted
+/// changes), the runtime CPUs the bench used, and whether those exceed
+/// the available hardware threads. A number is only comparable with
+/// numbers carrying the same host fields.
+pub fn host_json(runtime_cpus: usize) -> String {
+    let parallelism = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease")
+        .map_or_else(|_| "unknown".to_string(), |s| s.trim().to_string());
+    let git_rev = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or_else(
+            || "none".to_string(),
+            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+        );
+    let quote = |s: &str| format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""));
+    format!(
+        "{{\"available_parallelism\": {parallelism}, \"cpu_model\": {}, \"kernel\": {}, \
+         \"git_rev\": {}, \"runtime_cpus\": {runtime_cpus}, \"oversubscribed\": {}}}",
+        quote(&cpu_model),
+        quote(&kernel),
+        quote(&git_rev),
+        runtime_cpus > parallelism
+    )
+}

@@ -337,6 +337,35 @@ impl Condvar {
         }
     }
 
+    /// Like [`Condvar::wait`] with a timeout; returns whether it timed out.
+    ///
+    /// A timeout may expire at any moment, so model runs take the
+    /// timeout at once: release, one preemption point, reacquire. That
+    /// covers every interleaving a timed wait allows, and a schedule can
+    /// never hang on it.
+    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: std::time::Duration) -> bool {
+        let m = guard.m;
+        if sched::in_model() {
+            m.unlock_raw();
+            sched::yield_explicit();
+            m.lock_raw();
+            return true;
+        }
+        let e = self.epoch.load(Ordering::Acquire);
+        let deadline = std::time::Instant::now().checked_add(timeout);
+        m.unlock_raw();
+        let mut timed_out = false;
+        while self.epoch.load(Ordering::Acquire) == e {
+            if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
+                timed_out = true;
+                break;
+            }
+            std::thread::yield_now();
+        }
+        m.lock_raw();
+        timed_out
+    }
+
     /// Wakes one waiter, if any.
     pub fn notify_one(&self) {
         self.epoch.fetch_add(1, Ordering::Release);

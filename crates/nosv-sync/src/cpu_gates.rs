@@ -25,7 +25,10 @@ use crate::{IdleGate, Padded};
 /// rounds, so this bounds the spin to roughly tens of microseconds of CPU
 /// (plus a handful of sched yields) — long enough to bridge the gap
 /// between serial tasks, short enough to be invisible when idle for real.
-const STANDBY_SPIN_ROUNDS: u32 = 64;
+///
+/// The runtime's other bounded spinner, an external thread waiting on a
+/// task's completion, uses the same window.
+pub const STANDBY_SPIN_ROUNDS: u32 = 64;
 
 /// Failed standby claims by *other* CPUs a sticky holder's reservation
 /// survives before the role migrates. Without stickiness, a serial task

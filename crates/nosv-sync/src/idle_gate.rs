@@ -53,6 +53,8 @@
 //! consumer.join().unwrap();
 //! ```
 
+use std::time::Duration;
+
 use crate::hint::{AtomicU64, Condvar, Mutex, Ordering};
 
 /// An event-counted gate for idle threads; see the module docs for the
@@ -95,14 +97,26 @@ impl IdleGate {
     /// worker" fast path that lets a fully idle runtime absorb a serial
     /// task stream without paying one futex wake per task.
     ///
-    /// `rounds == 0` is exactly [`IdleGate::wait`]. Callers should elect
-    /// at most one spinner at a time (see `CpuGates`), since every
-    /// additional spinner burns a core the workload could use.
+    /// `rounds == 0` is exactly [`IdleGate::wait`]. Every spinner burns a
+    /// core the workload could use, so callers bound who spins: `CpuGates`
+    /// elects one idle CPU at a time, and a task waiter spins only while
+    /// nothing is queued ([`IdleGate::wait_spin_while`]).
     pub fn wait_spin(&self, key: u64, rounds: u32) {
+        self.wait_spin_while(key, rounds, || true);
+    }
+
+    /// [`IdleGate::wait_spin`] that also stops spinning, and sleeps at
+    /// once, as soon as `keep_spinning` returns `false` (checked before
+    /// every backoff step). A task waiter passes "no queued work", so its
+    /// spin never delays work a core could run.
+    pub fn wait_spin_while(&self, key: u64, rounds: u32, mut keep_spinning: impl FnMut() -> bool) {
         let mut backoff = crate::Backoff::new();
         for _ in 0..rounds {
             if self.epoch.load(Ordering::SeqCst) != key {
                 return;
+            }
+            if !keep_spinning() {
+                break;
             }
             backoff.snooze();
         }
@@ -114,16 +128,31 @@ impl IdleGate {
     /// Returns immediately if one already has. Spurious returns are
     /// allowed (callers loop on their predicate anyway).
     pub fn wait(&self, key: u64) {
+        self.park(key, None);
+    }
+
+    /// [`IdleGate::wait`] bounded by `timeout`: also returns once
+    /// `timeout` has passed without a notification.
+    pub fn wait_timeout(&self, key: u64, timeout: Duration) {
+        self.park(key, Some(timeout));
+    }
+
+    /// The one sleep path of [`IdleGate::wait`] and
+    /// [`IdleGate::wait_timeout`].
+    fn park(&self, key: u64, timeout: Option<Duration>) {
         let mut guard = self.mutex.lock();
         // Commit to sleeping *before* the epoch check (see module docs:
         // the producer reads `sleepers` after bumping the epoch, so one
         // side always sees the other).
         self.sleepers.fetch_add(1, Ordering::SeqCst);
-        if self.epoch.load(Ordering::SeqCst) != key {
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            return;
+        if self.epoch.load(Ordering::SeqCst) == key {
+            match timeout {
+                None => self.cv.wait(&mut guard),
+                Some(t) => {
+                    self.cv.wait_for(&mut guard, t);
+                }
+            }
         }
-        self.cv.wait(&mut guard);
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
@@ -187,6 +216,15 @@ mod tests {
         gate.notify_one();
         // Must not block: the epoch moved after the key was captured.
         gate.wait(key);
+    }
+
+    #[test]
+    fn timed_wait_returns_without_a_notification() {
+        let gate = IdleGate::new();
+        let key = gate.prepare_wait();
+        // No notification ever comes: only the timeout can end this wait.
+        gate.wait_timeout(key, Duration::from_millis(5));
+        assert_eq!(gate.sleepers(), 0);
     }
 
     #[test]

@@ -18,9 +18,12 @@
 //!   inside a shared-memory segment (no host pointers, fixed layout).
 //! * [`IdleGate`] — an event-counted gate for idle threads: wait-free
 //!   notification when nobody sleeps, and no lost wakeups without a
-//!   periodic-poll timeout (the runtime's submit→wake path).
+//!   periodic-poll timeout (the runtime's submit→wake path and its
+//!   task-completion latch).
 //! * [`CpuGates`] — one `IdleGate` per CPU plus a single elected standby
-//!   spinner, so a direct dispatch wakes exactly its target CPU.
+//!   spinner, so a direct dispatch wakes exactly its target CPU; its
+//!   spin window, [`STANDBY_SPIN_ROUNDS`], also bounds a task waiter's
+//!   spin.
 //! * [`Backoff`] — bounded exponential backoff helper.
 //! * [`Padded`] — cache-line padding wrapper to avoid false sharing (the
 //!   DTLock's wait slots, the per-CPU gates, the runtime's per-CPU
@@ -48,7 +51,7 @@ mod raw;
 mod splitmix;
 
 pub use backoff::Backoff;
-pub use cpu_gates::CpuGates;
+pub use cpu_gates::{CpuGates, STANDBY_SPIN_ROUNDS};
 pub use dtlock::{Acquired, DtGuard, DtLock};
 pub use idle_gate::IdleGate;
 pub use mutex::{Condvar, Mutex, MutexGuard};

@@ -7,7 +7,8 @@
 //! * **DtLock** — every queued item is delivered exactly once, no waiter
 //!   is stranded (ring-wraparound value loss shows up as a livelock);
 //! * **IdleGate / CpuGates** — no lost wakeups: a notification that races
-//!   the commit-to-sleep always lands (a loss deadlocks the schedule);
+//!   the commit-to-sleep always lands (a loss deadlocks the schedule),
+//!   including the task-completion latch's spin-then-sleep waiters;
 //! * **submit-vs-shutdown** — the distilled PR 5 drain protocol: a
 //!   shutdown that drained in-flight submitters observes every accepted
 //!   submission in its final snapshot.
@@ -207,6 +208,33 @@ fn idle_gate_handoff() {
     consumer.join().unwrap();
 }
 
+/// The task-completion latch (`TaskSignal` in the runtime): two waiters
+/// each run prepare_wait → `done` check → `wait_spin`, and the completing
+/// worker stores `done`, then calls `notify_all`. A waiter that misses both
+/// the flag and the epoch bump sleeps forever, which the checker reports
+/// as a deadlock.
+fn idle_gate_latch() {
+    let gate = Arc::new(IdleGate::new());
+    let done = Arc::new(AtomicBool::new(false));
+    let waiters: Vec<_> = (0..2)
+        .map(|_| {
+            let (gate, done) = (Arc::clone(&gate), Arc::clone(&done));
+            thread::spawn(move || loop {
+                let key = gate.prepare_wait();
+                if done.load(Ordering::Acquire) {
+                    break;
+                }
+                gate.wait_spin(key, 1);
+            })
+        })
+        .collect();
+    done.store(true, Ordering::Release);
+    gate.notify_all();
+    for w in waiters {
+        w.join().unwrap();
+    }
+}
+
 /// Two producers publish two events each through a shared pending counter;
 /// one consumer drains it, sleeping whenever it sees nothing. Termination
 /// is the invariant: one lost notification deadlocks the schedule.
@@ -258,6 +286,17 @@ fn idle_gate_handoff_dfs() {
     });
     let r = explore(cfg, idle_gate_handoff).assert_ok();
     summarize("idle_gate_handoff_dfs", &r);
+}
+
+/// Exhaustive DFS of the completion latch: two spinning-then-sleeping
+/// waiters against one `notify_all`.
+#[test]
+fn idle_gate_latch_dfs() {
+    let cfg = Config::from_env(Strategy::Dfs {
+        max_schedules: 20_000,
+    });
+    let r = explore(cfg, idle_gate_latch).assert_ok();
+    summarize("idle_gate_latch_dfs", &r);
 }
 
 /// Randomized sweep of the multi-producer gate under contention.

@@ -368,8 +368,11 @@ impl GuestProcess {
     /// the host declared this guest dead), and [`NosvError::HostDead`]
     /// if the host process died with tasks still pending (they will
     /// never complete).
+    ///
+    /// A `timeout` too large to add to the current instant (such as
+    /// `Duration::MAX`) means no deadline.
     pub fn wait_idle(&self, timeout: Duration) -> Result<(), NosvError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut backoff = WaitBackoff::new();
         loop {
             let view = self
@@ -383,7 +386,7 @@ impl GuestProcess {
             if !process_alive(self.host_os_pid as u32) {
                 return Err(NosvError::HostDead);
             }
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(NosvError::WaitTimeout);
             }
             self.seg.bump_heartbeat(self.me);

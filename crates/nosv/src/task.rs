@@ -9,9 +9,10 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use nosv_shmem::{AtomicShoff, Shoff};
-use nosv_sync::{Condvar, Mutex};
+use nosv_sync::{IdleGate, Mutex, STANDBY_SPIN_ROUNDS};
 
 use crate::error::NosvError;
 
@@ -152,19 +153,25 @@ impl TaskDesc {
 /// Host-side completion latch shared by [`TaskHandle`] and the worker that
 /// finishes the task.
 ///
-/// Besides the plain mutex/condvar latch for external threads, the signal
-/// keeps a list of *paused tasks* waiting for this completion: a task that
-/// calls [`TaskHandle::wait`] from inside its body must not block its worker
-/// thread (that would pin a core), so it registers itself here and pauses;
-/// `complete` resubmits every registered waiter (§3.2: unblocking a paused
-/// task is done by submitting it again).
+/// Completion is the `done` flag. External threads wait on an [`IdleGate`]
+/// eventcount (`prepare_wait` → check `done` → wait), after a bounded spin
+/// while no queued work exists; `complete` stores `done` and then bumps the
+/// gate, which costs no lock and no syscall when nobody sleeps.
+///
+/// The signal also keeps a list of *paused tasks* waiting for this
+/// completion: a task that calls [`TaskHandle::wait`] from inside its body
+/// must not block its worker thread (that would pin a core), so it
+/// registers itself here and pauses; `complete` resubmits every registered
+/// waiter (§3.2: unblocking a paused task is done by submitting it again).
 pub(crate) struct TaskSignal {
-    pub done: Mutex<bool>,
-    pub cv: Condvar,
+    /// Raised once by `complete`, never lowered.
+    done: AtomicBool,
     /// Whether the body panicked (for a batch: whether *any* member's
-    /// did). Stored before `complete` raises the done latch, so a waiter
-    /// that observed completion also observes the flag.
+    /// did). Stored before `complete` raises `done`, so a waiter that
+    /// observed completion also observes the flag.
     panicked: AtomicBool,
+    /// Sleeping external waiters.
+    gate: IdleGate,
     /// `(runtime, descriptor offset)` of paused tasks to resubmit.
     waiters: Mutex<Vec<(Arc<crate::runtime::RuntimeInner>, u64)>>,
 }
@@ -172,9 +179,9 @@ pub(crate) struct TaskSignal {
 impl TaskSignal {
     pub(crate) fn new() -> Arc<TaskSignal> {
         Arc::new(TaskSignal {
-            done: Mutex::new(false),
-            cv: Condvar::new(),
+            done: AtomicBool::new(false),
             panicked: AtomicBool::new(false),
+            gate: IdleGate::new(),
             waiters: Mutex::new(Vec::new()),
         })
     }
@@ -190,13 +197,12 @@ impl TaskSignal {
     }
 
     pub(crate) fn complete(&self) {
-        {
-            let mut done = self.done.lock();
-            *done = true;
-            self.cv.notify_all();
-        }
-        // Resubmit paused waiters. `submit` tolerates a waiter that has
-        // decided to pause but not yet transitioned (it spins on Running).
+        self.done.store(true, Ordering::Release);
+        self.gate.notify_all();
+        // Taken after `done` is up: a registrant checks `done` under this
+        // mutex, so it either sees the flag or lands in the list taken here.
+        // `submit` tolerates a waiter that has decided to pause but not yet
+        // transitioned (it spins on Running).
         let waiters = std::mem::take(&mut *self.waiters.lock());
         for (rt, desc_raw) in waiters {
             match rt.submit(Shoff::from_raw(desc_raw)) {
@@ -217,38 +223,48 @@ impl TaskSignal {
         rt: &Arc<crate::runtime::RuntimeInner>,
         desc_raw: u64,
     ) -> bool {
-        let done = self.done.lock();
-        if *done {
+        let mut waiters = self.waiters.lock();
+        if self.is_done() {
             return false;
         }
-        self.waiters.lock().push((Arc::clone(rt), desc_raw));
+        waiters.push((Arc::clone(rt), desc_raw));
         true
-    }
-
-    pub(crate) fn wait(&self) {
-        let mut done = self.done.lock();
-        while !*done {
-            self.cv.wait(&mut done);
-        }
     }
 
     /// Whether the task already completed (non-blocking).
     pub(crate) fn is_done(&self) -> bool {
-        *self.done.lock()
+        self.done.load(Ordering::Acquire)
     }
 
-    /// Waits up to `timeout`; returns whether the task completed.
-    pub(crate) fn wait_timeout(&self, timeout: std::time::Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut done = self.done.lock();
-        while !*done {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return false;
+    /// Blocks an external thread until the task completes or `deadline`
+    /// passes (`None`: no deadline); returns whether it completed.
+    ///
+    /// Without a deadline the thread first spins for up to
+    /// [`STANDBY_SPIN_ROUNDS`] backoff rounds — the standby spinner's
+    /// window — for as long as `keep_spinning` holds, then parks.
+    pub(crate) fn wait_until(
+        &self,
+        deadline: Option<Instant>,
+        mut keep_spinning: impl FnMut() -> bool,
+    ) -> bool {
+        loop {
+            let key = self.gate.prepare_wait();
+            if self.is_done() {
+                return true;
             }
-            self.cv.wait_for(&mut done, deadline - now);
+            match deadline {
+                None => self
+                    .gate
+                    .wait_spin_while(key, STANDBY_SPIN_ROUNDS, &mut keep_spinning),
+                Some(d) => {
+                    let left = d.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return false;
+                    }
+                    self.gate.wait_timeout(key, left);
+                }
+            }
         }
-        true
     }
 }
 
@@ -490,9 +506,11 @@ impl BatchHandle {
     /// every other member still ran to completion (a panic fails only
     /// its own task), and the batch's memory is reclaimed as usual.
     ///
-    /// Safe to call from anywhere: from an external thread it blocks on
-    /// the latch; from *inside a task* it pauses the calling task instead
-    /// of pinning its worker thread (exactly like [`TaskHandle::wait`]).
+    /// Safe to call from anywhere: from an external thread it waits on
+    /// the latch, spinning first exactly as [`TaskHandle::wait`] does
+    /// (while no work is queued, for at most the standby spinner's
+    /// window); from *inside a task* it pauses the calling task instead of
+    /// pinning its worker thread.
     pub fn wait(&self) -> Result<(), NosvError> {
         if let Some(caller_raw) = crate::worker::current_task_raw() {
             loop {
@@ -502,7 +520,7 @@ impl BatchHandle {
                 crate::pause();
             }
         }
-        self.signal.wait();
+        self.signal.wait_until(None, || !self.rt.sched.has_ready());
         self.completion_outcome()
     }
 
@@ -520,14 +538,21 @@ impl BatchHandle {
     /// [`TaskHandle::wait_timeout`], a bounded wait is only possible on
     /// the external-thread path; called from inside a task it returns
     /// [`NosvError::WaitTimeout`] immediately unless already complete.
-    pub fn wait_timeout(&self, timeout: std::time::Duration) -> Result<(), NosvError> {
+    ///
+    /// A `timeout` too large to add to the current instant (such as
+    /// `Duration::MAX`) means no deadline.
+    pub fn wait_timeout(&self, timeout: Duration) -> Result<(), NosvError> {
         if crate::worker::current_task_raw().is_some() {
             if self.signal.is_done() {
                 return self.completion_outcome();
             }
             return Err(NosvError::WaitTimeout);
         }
-        if self.signal.wait_timeout(timeout) {
+        let deadline = Instant::now().checked_add(timeout);
+        if self
+            .signal
+            .wait_until(deadline, || !self.rt.sched.has_ready())
+        {
             self.completion_outcome()
         } else {
             Err(NosvError::WaitTimeout)
@@ -630,10 +655,19 @@ impl TaskHandle {
     /// it; the runtime keeps scheduling), and the completed task can be
     /// destroyed as usual.
     ///
-    /// Safe to call from anywhere: from an external thread it blocks on a
-    /// latch; from *inside another task* it pauses the calling task instead
-    /// of pinning its worker thread and core (the paper's `nosv_pause`
-    /// "wait for an event" pattern), and resumes when this task completes.
+    /// Safe to call from anywhere. From *inside another task* it pauses
+    /// the calling task instead of pinning its worker thread and core (the
+    /// paper's `nosv_pause` "wait for an event" pattern), and resumes when
+    /// this task completes.
+    ///
+    /// From an external thread it first spins, then sleeps. The spin lasts
+    /// at most the standby worker's window
+    /// ([`nosv_sync::STANDBY_SPIN_ROUNDS`] backoff rounds: a few hundred
+    /// spin hints, then OS yields — tens of microseconds) and only while
+    /// no task is queued in the runtime, so it never takes a core from
+    /// work that could run; a short task's completion then reaches the
+    /// waiter without a kernel sleep and wake. Once work is queued or the
+    /// window ends, the thread sleeps until the completion wakes it.
     pub fn wait(&self) -> Result<(), NosvError> {
         if let Some(caller_raw) = crate::worker::current_task_raw() {
             // Cooperative path: pause the calling task; completion of this
@@ -645,7 +679,7 @@ impl TaskHandle {
                 crate::pause();
             }
         }
-        self.signal.wait();
+        self.signal.wait_until(None, || !self.rt.sched.has_ready());
         self.completion_outcome()
     }
 
@@ -675,6 +709,9 @@ impl TaskHandle {
     /// on an external thread, or use [`TaskHandle::wait`] when an
     /// unbounded cooperative wait is acceptable.
     ///
+    /// A `timeout` too large to add to the current instant (such as
+    /// `Duration::MAX`) means no deadline.
+    ///
     /// ```
     /// use std::time::Duration;
     /// use nosv::prelude::*;
@@ -700,7 +737,7 @@ impl TaskHandle {
     /// # Ok(())
     /// # }
     /// ```
-    pub fn wait_timeout(&self, timeout: std::time::Duration) -> Result<(), NosvError> {
+    pub fn wait_timeout(&self, timeout: Duration) -> Result<(), NosvError> {
         if crate::worker::current_task_raw().is_some() {
             // In-task cooperative path: the deadline cannot be honoured
             // (see above). Report the unsupported path as a timeout
@@ -710,7 +747,11 @@ impl TaskHandle {
             }
             return Err(NosvError::WaitTimeout);
         }
-        if self.signal.wait_timeout(timeout) {
+        let deadline = Instant::now().checked_add(timeout);
+        if self
+            .signal
+            .wait_until(deadline, || !self.rt.sched.has_ready())
+        {
             self.completion_outcome()
         } else {
             Err(NosvError::WaitTimeout)
@@ -799,10 +840,63 @@ mod tests {
     fn signal_latch() {
         let s = TaskSignal::new();
         let s2 = Arc::clone(&s);
-        let t = std::thread::spawn(move || s2.wait());
+        let t = std::thread::spawn(move || s2.wait_until(None, || true));
         s.complete();
-        t.join().unwrap();
+        assert!(t.join().unwrap());
         // Waiting after completion returns immediately.
-        s.wait();
+        assert!(s.wait_until(None, || true));
+        assert!(s.wait_until(Some(Instant::now()), || true));
+    }
+
+    #[test]
+    fn signal_deadline_expires_without_completion() {
+        let s = TaskSignal::new();
+        let deadline = Instant::now() + Duration::from_millis(5);
+        assert!(!s.wait_until(Some(deadline), || true));
+        assert!(Instant::now() >= deadline);
+    }
+
+    /// An external waiter racing `complete`, round after round, on the
+    /// spinning path (even rounds) and the park-at-once path (odd rounds).
+    /// A lost wakeup parks the waiter for good; the watchdog turns that
+    /// into a failure instead of a hung test. The threads hand rounds over
+    /// through one atomic, with no channel, so a ThreadSanitizer run sees
+    /// every synchronization edge.
+    #[test]
+    fn external_wait_racing_complete_never_loses_the_wakeup() {
+        const ROUNDS: usize = if cfg!(miri) { 50 } else { 10_000 };
+        let signals: Arc<Vec<Arc<TaskSignal>>> =
+            Arc::new((0..ROUNDS).map(|_| TaskSignal::new()).collect());
+        let started = Arc::new(AtomicU64::new(0));
+        let completer = {
+            let (signals, started) = (Arc::clone(&signals), Arc::clone(&started));
+            std::thread::spawn(move || {
+                for (round, s) in signals.iter().enumerate() {
+                    while started.load(Ordering::Acquire) <= round as u64 {
+                        std::thread::yield_now();
+                    }
+                    s.complete();
+                }
+            })
+        };
+        let waiter = {
+            let (signals, started) = (Arc::clone(&signals), Arc::clone(&started));
+            std::thread::spawn(move || {
+                for (round, s) in signals.iter().enumerate() {
+                    started.store(round as u64 + 1, Ordering::Release);
+                    assert!(s.wait_until(None, || round % 2 == 0));
+                }
+            })
+        };
+        let t0 = Instant::now();
+        while !waiter.is_finished() {
+            assert!(
+                t0.elapsed() < Duration::from_secs(120),
+                "an external waiter missed its wakeup: still parked after 120 s"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        waiter.join().unwrap();
+        completer.join().unwrap();
     }
 }

@@ -18,7 +18,11 @@
 //! Workers communicate through single-slot mailboxes ([`Assignment`]):
 //! parked workers block on their mailbox; idle cores block on the runtime's
 //! idle gate until a submission arrives (the futex-idle behaviour of §5.2's
-//! "oversubscription idle" baseline — nOS-V never busy-waits for work).
+//! "oversubscription idle" baseline). nOS-V never busy-waits without bound:
+//! the only spinners are the one elected standby CPU (`CpuGates`) and an
+//! external thread in `TaskHandle::wait`/`BatchHandle::wait`, the latter
+//! only while no work is queued; both spin for at most
+//! `STANDBY_SPIN_ROUNDS` backoff rounds, then sleep.
 
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};

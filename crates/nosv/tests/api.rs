@@ -319,3 +319,56 @@ fn cooperative_wait_on_panicked_task_reports_the_failure() {
     drop(app);
     rt.shutdown();
 }
+
+#[test]
+fn wait_timeout_without_a_representable_deadline_waits_to_completion() {
+    // `Instant::now() + Duration::MAX` overflows; such a timeout means
+    // "no deadline" on both handle kinds.
+    let rt = Runtime::builder().cpus(2).build().expect("valid");
+    let app = rt.attach("max-timeout").expect("attach");
+    let t = app.spawn(|_| {});
+    assert_eq!(t.wait_timeout(std::time::Duration::MAX), Ok(()));
+    t.destroy();
+    let batch = app
+        .submit_all(TaskBatch::new(4).run(|_| {}))
+        .expect("submit");
+    assert_eq!(batch.wait_timeout(std::time::Duration::MAX), Ok(()));
+    drop(app);
+    rt.shutdown();
+}
+
+#[test]
+fn in_task_wait_racing_completion_resumes_exactly_once() {
+    // The target is submitted just before the waiter, so on two CPUs its
+    // completion lands while the waiter registers (or is about to pause).
+    // Whichever side wins, the waiter must resume exactly once: a lost
+    // resubmission hangs the external wait, a doubled one runs the tail
+    // twice or fails the resubmission.
+    const ROUNDS: usize = 500;
+    let rt = Runtime::builder().cpus(2).build().expect("valid");
+    let app = rt.attach("in-task-race").expect("attach");
+    let resumed = Arc::new(AtomicUsize::new(0));
+    for round in 0..ROUNDS {
+        let target = app.create_task(|_| {});
+        let r = Arc::clone(&resumed);
+        let (target_tx, target_rx) = std::sync::mpsc::channel::<TaskHandle>();
+        let waiter = app.create_task(move |_| {
+            let target = target_rx.recv().unwrap();
+            target.wait().unwrap();
+            r.fetch_add(1, Ordering::SeqCst);
+            target.destroy();
+        });
+        waiter.submit().expect("submit waiter");
+        target.submit().expect("submit target");
+        target_tx.send(target).unwrap();
+        assert_eq!(
+            waiter.wait_timeout(std::time::Duration::from_secs(30)),
+            Ok(()),
+            "round {round}: the waiter never resumed"
+        );
+        assert_eq!(resumed.load(Ordering::SeqCst), round + 1, "round {round}");
+        waiter.destroy();
+    }
+    drop(app);
+    rt.shutdown();
+}
